@@ -3,7 +3,10 @@ package netrs
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
+
+	"netrs/internal/placement"
 )
 
 // configJSON is the serialized experiment configuration. It mirrors
@@ -39,7 +42,10 @@ type configJSON struct {
 	AccelMaxUtilization    float64 `json:"accelMaxUtilization"`
 	ExtraHopBudgetFraction float64 `json:"extraHopBudgetFraction"`
 	RackLevelGroups        bool    `json:"rackLevelGroups"`
+	GroupMaxHosts          int     `json:"groupMaxHosts,omitempty"`
+	PlacementMethod        string  `json:"placementMethod,omitempty"`
 	RedundantPercentile    float64 `json:"redundantPercentile"`
+	CancelDuplicates       bool    `json:"cancelDuplicates,omitempty"`
 	FailRSNodeAt           float64 `json:"failRSNodeAt,omitempty"`
 	ReplayTracePath        string  `json:"replayTracePath,omitempty"`
 
@@ -61,6 +67,11 @@ type configJSON struct {
 	CacheAdmitAfter   int     `json:"cacheAdmitAfter,omitempty"`
 	CacheItemMinBytes int64   `json:"cacheItemMinBytes,omitempty"`
 	CacheItemMaxBytes int64   `json:"cacheItemMaxBytes,omitempty"`
+
+	// Recorder options and the sharded engine's worker count.
+	KeepLatencyTrace bool `json:"keepLatencyTrace,omitempty"`
+	StatsSampleCap   int  `json:"statsSampleCap,omitempty"`
+	Shards           int  `json:"shards,omitempty"`
 
 	// Scenario embeds the declared stress scenario (internal/scenario's
 	// own JSON schema, also accepted standalone by `netrs-sim -scenario`).
@@ -98,7 +109,9 @@ func MarshalConfig(cfg Config) ([]byte, error) {
 		AccelMaxUtilization:    cfg.AccelMaxUtilization,
 		ExtraHopBudgetFraction: cfg.ExtraHopBudgetFraction,
 		RackLevelGroups:        cfg.RackLevelGroups,
+		GroupMaxHosts:          cfg.GroupMaxHosts,
 		RedundantPercentile:    cfg.RedundantPercentile,
+		CancelDuplicates:       cfg.CancelDuplicates,
 		FailRSNodeAt:           cfg.FailRSNodeAt,
 		ReplayTracePath:        cfg.ReplayTracePath,
 		Faults:                 cfg.Faults,
@@ -111,6 +124,12 @@ func MarshalConfig(cfg Config) ([]byte, error) {
 		CacheAdmitAfter:        cfg.CacheAdmitAfter,
 		CacheItemMinBytes:      cfg.CacheItemMinBytes,
 		CacheItemMaxBytes:      cfg.CacheItemMaxBytes,
+		KeepLatencyTrace:       cfg.KeepLatencyTrace,
+		StatsSampleCap:         cfg.StatsSampleCap,
+		Shards:                 cfg.Shards,
+	}
+	if cfg.PlacementMethod != 0 {
+		j.PlacementMethod = cfg.PlacementMethod.String()
 	}
 	if !cfg.Scenario.Empty() || cfg.Scenario.Name != "" {
 		scn := cfg.Scenario
@@ -134,8 +153,8 @@ func UnmarshalConfig(data []byte) (Config, error) {
 	cfg.FatTreeK = j.FatTreeK
 	cfg.Servers = j.Servers
 	cfg.Parallelism = j.Parallelism
-	cfg.MeanServiceTime = Time(j.MeanServiceTimeUs * float64(Microsecond))
-	cfg.FluctuationInterval = Time(j.FluctuationIntervalUs * float64(Microsecond))
+	cfg.MeanServiceTime = fromUnits(j.MeanServiceTimeUs, Microsecond)
+	cfg.FluctuationInterval = fromUnits(j.FluctuationIntervalUs, Microsecond)
 	cfg.FluctuationRange = j.FluctuationRange
 	cfg.Replication = j.Replication
 	cfg.VNodes = j.VNodes
@@ -151,19 +170,26 @@ func UnmarshalConfig(data []byte) (Config, error) {
 	cfg.Scheme = scheme
 	cfg.RateControl = j.RateControl
 	cfg.OperatorAlgorithm = j.OperatorAlgorithm
-	cfg.Fabric.LinkLatency = Time(j.LinkLatencyUs * float64(Microsecond))
-	cfg.Fabric.AccelRTT = Time(j.AccelRTTUs * float64(Microsecond))
-	cfg.Fabric.AccelService = Time(j.AccelServiceUs * float64(Microsecond))
+	cfg.Fabric.LinkLatency = fromUnits(j.LinkLatencyUs, Microsecond)
+	cfg.Fabric.AccelRTT = fromUnits(j.AccelRTTUs, Microsecond)
+	cfg.Fabric.AccelService = fromUnits(j.AccelServiceUs, Microsecond)
 	cfg.Fabric.AccelCores = j.AccelCores
 	cfg.AccelMaxUtilization = j.AccelMaxUtilization
 	cfg.ExtraHopBudgetFraction = j.ExtraHopBudgetFraction
 	cfg.RackLevelGroups = j.RackLevelGroups
+	cfg.GroupMaxHosts = j.GroupMaxHosts
+	if j.PlacementMethod != "" {
+		if cfg.PlacementMethod, err = parsePlacementMethod(j.PlacementMethod); err != nil {
+			return Config{}, err
+		}
+	}
 	cfg.RedundantPercentile = j.RedundantPercentile
+	cfg.CancelDuplicates = j.CancelDuplicates
 	cfg.FailRSNodeAt = j.FailRSNodeAt
 	cfg.ReplayTracePath = j.ReplayTracePath
 	cfg.Faults = j.Faults
-	cfg.TimelineBucket = Time(j.TimelineBucketMs * float64(Millisecond))
-	cfg.ControllerInterval = Time(j.ControllerIntervalMs * float64(Millisecond))
+	cfg.TimelineBucket = fromUnits(j.TimelineBucketMs, Millisecond)
+	cfg.ControllerInterval = fromUnits(j.ControllerIntervalMs, Millisecond)
 	cfg.DemandShiftAt = j.DemandShiftAt
 	cfg.DemandShiftFraction = j.DemandShiftFraction
 	cfg.WriteFraction = j.WriteFraction
@@ -171,6 +197,9 @@ func UnmarshalConfig(data []byte) (Config, error) {
 	cfg.CacheAdmitAfter = j.CacheAdmitAfter
 	cfg.CacheItemMinBytes = j.CacheItemMinBytes
 	cfg.CacheItemMaxBytes = j.CacheItemMaxBytes
+	cfg.KeepLatencyTrace = j.KeepLatencyTrace
+	cfg.StatsSampleCap = j.StatsSampleCap
+	cfg.Shards = j.Shards
 	if j.Scenario != nil {
 		if err := j.Scenario.Validate(); err != nil {
 			return Config{}, err
@@ -178,6 +207,23 @@ func UnmarshalConfig(data []byte) (Config, error) {
 		cfg.Scenario = *j.Scenario
 	}
 	return cfg, nil
+}
+
+// fromUnits converts a serialized duration back to simulated time,
+// rounding to the nearest nanosecond so every encoded Time decodes exactly.
+func fromUnits(v float64, unit Time) Time {
+	return Time(math.Round(v * float64(unit)))
+}
+
+// parsePlacementMethod resolves a placement method by the name its String
+// method prints.
+func parsePlacementMethod(name string) (placement.Method, error) {
+	for m := placement.MethodAuto; m <= placement.MethodWarm; m++ {
+		if m.String() == name {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("netrs: unknown placement method %q", name)
 }
 
 // SaveConfig writes a Config to a JSON file.

@@ -1,10 +1,14 @@
 package netrs
 
 import (
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"netrs/internal/placement"
+	"netrs/internal/scenario"
 )
 
 func TestConfigJSONRoundTrip(t *testing.T) {
@@ -49,6 +53,78 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 	for _, key := range []string{"meanServiceTimeUs", "linkLatencyUs", "scheme"} {
 		if !strings.Contains(string(data), key) {
 			t.Fatalf("serialized config missing %q:\n%s", key, data)
+		}
+	}
+}
+
+// perturb moves every leaf under v away from its current value: numbers
+// grow by a distinct step, booleans flip, strings change, and nil pointers
+// and empty slices gain one perturbed element. A kind it cannot handle
+// fails the test, so a new Config field of such a kind cannot slip by.
+func perturb(t *testing.T, v reflect.Value, n *int) {
+	*n++
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			perturb(t, v.Field(i), n)
+		}
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		perturb(t, v.Elem(), n)
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 1, 1))
+		perturb(t, v.Index(0), n)
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Int, reflect.Int64:
+		v.SetInt(v.Int() + int64(*n))
+	case reflect.Uint64:
+		v.SetUint(v.Uint() + uint64(*n))
+	case reflect.Float64:
+		v.SetFloat(v.Float() + float64(*n)/64)
+	case reflect.String:
+		v.SetString(fmt.Sprintf("%s-%d", v.String(), *n))
+	default:
+		t.Fatalf("perturb: unhandled kind %s (%s)", v.Kind(), v.Type())
+	}
+}
+
+// TestConfigCodecKeepsEveryField sets every Config field — nested Fabric,
+// Scenario and fault-event fields included — away from its default and
+// requires UnmarshalConfig(MarshalConfig(c)) == c exactly, so a field the
+// codec forgets fails here.
+func TestConfigCodecKeepsEveryField(t *testing.T) {
+	all := DefaultConfig()
+	n := 0
+	perturb(t, reflect.ValueOf(&all).Elem(), &n)
+	// Closed domains take a valid non-default value.
+	all.Scheme = SchemeNetRSCache
+	all.PlacementMethod = placement.MethodHeuristic
+	// The codec validates the scenario, so its constrained leaves take
+	// valid values; the trace replay it cannot combine with workload
+	// shaping round-trips in its own config below. Its fault events are
+	// the Config.Faults element type, perturbed field by field above.
+	scn := &all.Scenario
+	scn.Diurnal.Amplitude, scn.Diurnal.Phase = 0.5, 0.25
+	*scn.FlashCrowd = scenario.FlashCrowd{AtFraction: 0.25, DurationFraction: 0.5, Share: 0.75, Key: 7}
+	scn.Heterogeneous[0].Fraction = 0.5
+	scn.ReplayTracePath = ""
+	scn.Faults = []FaultEvent{{Kind: FaultServerSlowdown, AtFraction: 0.5, Server: 2, Multiplier: 3}}
+
+	replay := DefaultConfig()
+	replay.Scenario = Scenario{Name: "replay", ReplayTracePath: "trace.csv"}
+
+	for _, in := range []Config{all, replay} {
+		data, err := MarshalConfig(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := UnmarshalConfig(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(out, in) {
+			t.Errorf("round trip differs:\n in %+v\nout %+v\njson %s", in, out, data)
 		}
 	}
 }

@@ -145,9 +145,9 @@ type Selector struct {
 	// arena is the current allocation block for server states. States are
 	// carved out of fixed-capacity blocks — a block is abandoned to the
 	// map's pointers once full — so a fleet of selectors (one per client,
-	// times two when a sharded run replays its pilot) costs one heap
-	// object per stateArenaBlock states instead of one per state. Blocks
-	// never grow in place, so the handed-out pointers stay valid.
+	// times two when a sharded NetRS-ILP run replays its pilot) costs one
+	// heap object per stateArenaBlock states instead of one per state.
+	// Blocks never grow in place, so the handed-out pointers stay valid.
 	arena []serverState
 
 	// rank is the reusable scratch Rank and Pick sort into; servers are
@@ -187,7 +187,8 @@ func NewSelectorWithClock(cfg Config, clock Clock) (*Selector, error) {
 	}
 	// The servers map is created lazily in state(): a hyperscale run
 	// constructs thousands of selectors (one per client, twice when a
-	// sharded run replays its pilot), many of which see few servers.
+	// sharded NetRS-ILP run replays its pilot), many of which see few
+	// servers.
 	return &Selector{cfg: cfg, clock: clock}, nil
 }
 

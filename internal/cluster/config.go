@@ -266,10 +266,10 @@ type Config struct {
 	// Shards worker goroutines execute partition windows concurrently.
 	// The partition structure is fixed by the topology, so any Shards
 	// value above one produces the identical event order — the worker
-	// count changes wall time only. Zero or one keeps today's sequential
-	// single-engine path, bit for bit. Sharded runs support the CliRS,
-	// NetRS-ToR, and NetRS-ILP schemes (with epochs and demand shifts);
-	// the remaining single-engine-only features are rejected by validate.
+	// count changes wall time only. Zero or one runs the same code on one
+	// engine. Sharded runs support every scheme but CliRS-R95 (with epochs,
+	// demand shifts, caches and shard-safe scenarios); validate rejects the
+	// features that keep run-wide state, naming that state.
 	Shards int
 }
 
@@ -405,25 +405,23 @@ func (c Config) validate() error {
 		return fmt.Errorf("scenario workload shaping needs the synthetic source, not trace replay: %w", ErrInvalidParam)
 	}
 	if c.EffectiveShards() > 1 {
-		// The sharded runner reproduces the sequential event order exactly
-		// for the supported feature set; features whose bookkeeping is
-		// inherently cross-partition-sequential stay on the single-engine
-		// path.
+		// Each feature below keeps run-wide state that every partition
+		// would touch mid-window, so it stays on one engine.
 		switch {
 		case c.Scheme == SchemeCliRSR95:
-			return fmt.Errorf("shards: scheme %s needs the single-engine runner: %w", c.Scheme, ErrInvalidParam)
+			return fmt.Errorf("shards: scheme %s numbers duplicates from one run-wide packet counter: %w", c.Scheme, ErrInvalidParam)
 		case c.ReplayTracePath != "":
-			return fmt.Errorf("shards: trace replay needs the single-engine runner: %w", ErrInvalidParam)
+			return fmt.Errorf("shards: trace replay emits every arrival from one source on one engine clock: %w", ErrInvalidParam)
 		case c.KeepLatencyTrace:
-			return fmt.Errorf("shards: latency trace needs the single-engine runner: %w", ErrInvalidParam)
+			return fmt.Errorf("shards: the latency trace is one list in run-wide completion order: %w", ErrInvalidParam)
 		case c.TimelineBucket > 0:
-			return fmt.Errorf("shards: timeline needs the single-engine runner: %w", ErrInvalidParam)
+			return fmt.Errorf("shards: the timeline is one recorder fed by every partition's completions: %w", ErrInvalidParam)
 		case len(c.Faults) > 0 || c.FailRSNodeAt > 0:
-			return fmt.Errorf("shards: fault injection needs the single-engine runner: %w", ErrInvalidParam)
+			return fmt.Errorf("shards: fault injection fires on the run-wide completion count and mutates every partition: %w", ErrInvalidParam)
 		case c.StatsSampleCap > 0:
-			return fmt.Errorf("shards: bounded stats need the single-engine runner: %w", ErrInvalidParam)
+			return fmt.Errorf("shards: bounded stats estimate percentiles from the run-wide completion order: %w", ErrInvalidParam)
 		case !c.Scenario.ShardSafe():
-			return fmt.Errorf("shards: scenario faults/trace replay need the single-engine runner: %w", ErrInvalidParam)
+			return fmt.Errorf("shards: scenario faults and trace replay need the run-wide completion count and one engine clock: %w", ErrInvalidParam)
 		}
 	}
 	return nil

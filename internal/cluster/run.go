@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"os"
@@ -123,10 +124,12 @@ type EpochRecord struct {
 // client is one end-host issuing requests. Under CliRS it is a full
 // RSNode; under NetRS it only ranks replicas to provide the DRS backup.
 type client struct {
-	idx  int
 	host topo.NodeID
 	sel  selection.Selector
 	p95  *stats.P2Quantile
+	// st is the host's partition: every event touching the client's
+	// requests runs on st.eng and keeps its records in st.
+	st *shardState
 }
 
 // pending tracks one logical request until its first response.
@@ -144,9 +147,9 @@ type pending struct {
 	// packetIDs lists the in-flight packets (primary plus duplicates) so
 	// cancellation can reach the losers.
 	packetIDs []uint64
-	// refs counts live packetCtx records pointing at this pending. Only
-	// the sharded runner maintains it, to recycle the record once the
-	// last context dies; the sequential runner leaves it zero.
+	// refs counts live packetCtx records pointing at this pending; the
+	// record returns to its partition's pool once it is done and the last
+	// context dies.
 	refs int
 }
 
@@ -159,33 +162,33 @@ type packetCtx struct {
 	sentAt sim.Time
 }
 
-// runner holds one experiment's live state.
+// runner holds one experiment's live state. Request state lives in the
+// per-partition shardState records; the fields here are run-level.
 type runner struct {
 	cfg Config
-	eng *sim.Engine
 	ft  *topo.Topology
 	net *fabric.Network
 	ctl *fabric.Controller
+	// set is the shard coordinator, nil when the run has one partition.
+	set   *sim.ShardSet
+	parts []*shardState
 
 	ring         *kv.Ring
 	servers      []*kv.Server
 	serverHostOf []topo.NodeID
 
 	clients []*client
-	source  *workload.Source
-	replay  *workload.TraceSource
-
-	rec      *stats.Recorder
-	pendings map[uint64]*packetCtx
-	tickets  map[uint64]kv.Ticket
-	nextPID  uint64
+	// startFeed starts the arrival feed built by setup.
+	startFeed func() error
 
 	total, warmup int
-	completed     int
-
-	redundant         uint64
-	degradedResponses uint64
-	cancelled         uint64
+	// deployAt and stopAt are the completion counts at which the ILP plan
+	// deploys (0: never) and the run stops.
+	deployAt, stopAt int
+	// resetAt is the first completion's instant, where the monitors reset
+	// on one partition; a pilot reports it.
+	resetAt sim.Time
+	rate    float64 // offered load (req/s), synthetic or trace-derived
 
 	plan    placement.Plan
 	hasPlan bool
@@ -195,33 +198,26 @@ type runner struct {
 	// unless a cache scheme runs with a positive budget.
 	invalidationToRs []topo.NodeID
 
+	// State of the features validate keeps on one partition; each is
+	// touched only when configured.
+	nextPID      uint64               // CliRS-R95 packet counter
+	tickets      map[uint64]kv.Ticket // CliRS-R95 CancelDuplicates
+	redundant    uint64
+	cancelled    uint64
 	injector     *faults.Injector
 	timeline     *stats.Timeline
-	errs         []string
 	failedRSNode uint16
 	trace        []float64
-	rate         float64 // offered load (req/s), synthetic or trace-derived
 
-	queueCV    stats.Welford // samples of cross-server queue-length CV
-	samplerRef sim.EventRef
+	errs    []string
+	epochs  []EpochRecord
+	queueCV stats.Welford // samples of cross-server queue-length CV
 
-	epochRef sim.EventRef
-	epochs   []EpochRecord
-
-	// launchPickFn is the shared handler for rate-control-delayed CliRS
-	// sends (closure-free scheduling; the packetCtx is the argument).
+	// launchPickFn and redundantFn are the shared handlers for
+	// rate-control-delayed CliRS sends and CliRS-R95 duplicate timers
+	// (closure-free scheduling; the packetCtx or pending is the argument).
 	launchPickFn sim.ArgHandler
-
-	// redundantFn is the shared handler for CliRS-R95 duplicate timers
-	// (the pending request is the argument).
-	redundantFn sim.ArgHandler
-
-	// Pilot mode (sharded NetRS-ILP runs only): stop after pilotStop
-	// completions, recording the instants of the first and pilotStop-th —
-	// the completion-count triggers the windowed engine replays as
-	// absolute-time globals. Zero disables pilot mode entirely.
-	pilotStop        int
-	pilotT1, pilotTm sim.Time
+	redundantFn  sim.ArgHandler
 
 	netrs bool
 }
@@ -235,47 +231,48 @@ type runner struct {
 // runs therefore produce exactly the results sequential runs would —
 // the property the parallel sweep executor depends on.
 func Run(cfg Config) (Result, error) {
-	if err := cfg.validate(); err != nil {
+	r, err := newRunner(cfg, nil, nil)
+	if err != nil {
 		return Result{}, err
 	}
-	if cfg.EffectiveShards() > 1 {
-		return runSharded(cfg)
+	if err := r.run(); err != nil {
+		return Result{}, err
+	}
+	return r.result()
+}
+
+// newRunner validates cfg and builds the experiment, ready to run. The
+// topology and ring are built from cfg unless given: both are read-only
+// after construction and deterministic in cfg, so a pilot shares its
+// run's.
+func newRunner(cfg Config, ft *topo.Topology, ring *kv.Ring) (*runner, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	r := &runner{
-		cfg:      cfg,
-		eng:      sim.NewEngine(),
-		pendings: make(map[uint64]*packetCtx),
-		tickets:  make(map[uint64]kv.Ticket),
-		netrs:    cfg.Scheme == SchemeNetRSToR || cfg.Scheme == SchemeNetRSILP || cfg.Scheme == SchemeNetRSCache,
+		cfg:   cfg,
+		ft:    ft,
+		ring:  ring,
+		netrs: cfg.Scheme == SchemeNetRSToR || cfg.Scheme == SchemeNetRSILP || cfg.Scheme == SchemeNetRSCache,
 	}
 	r.launchPickFn = func(arg any) { r.launchPick(arg.(*packetCtx)) }
 	r.redundantFn = func(arg any) { r.fireRedundant(arg.(*pending)) }
 	if err := r.setup(); err != nil {
-		return Result{}, err
+		return nil, err
 	}
-	return r.execute()
+	return r, nil
 }
 
 func (r *runner) setup() error {
 	cfg := r.cfg
 	root := sim.NewRNG(cfg.Seed)
 
-	// Topology and ring may be preset by a sharded run's pilot: both are
-	// read-only after construction and deterministic in cfg, so sharing
-	// them skips rebuilding the largest construction-time structures
-	// without any observable difference.
 	var err error
 	if r.ft == nil {
 		if r.ft, err = topo.NewFatTree(cfg.FatTreeK); err != nil {
 			return err
 		}
 	}
-	deployment, err := workload.Deploy(r.ft, cfg.Servers, cfg.Clients, root.Stream(1))
-	if err != nil {
-		return err
-	}
-	r.serverHostOf = deployment.ServerHosts
-
 	if r.ring == nil {
 		if r.ring, err = kv.NewRing(cfg.Servers, cfg.Replication, cfg.VNodes, cfg.Seed); err != nil {
 			return err
@@ -285,48 +282,12 @@ func (r *runner) setup() error {
 		return fmt.Errorf("%d replica groups exceed the 24-bit RGID space: %w", r.ring.Groups(), ErrInvalidParam)
 	}
 
-	// Replica servers.
-	serverCfg := kv.ServerConfig{
-		Parallelism:         cfg.Parallelism,
-		MeanServiceTime:     cfg.MeanServiceTime,
-		FluctuationInterval: cfg.FluctuationInterval,
-		FluctuationRange:    cfg.FluctuationRange,
-	}
-	for i := 0; i < cfg.Servers; i++ {
-		srv, err := kv.NewServer(i, r.eng, serverCfg, root.Stream(uint64(10+i)))
-		if err != nil {
-			return err
-		}
-		r.servers = append(r.servers, srv)
-	}
-
 	// Workload rate, needed both for the source and to size the C3 rate
 	// limiters at their steady-state operating point. A replayed trace
 	// supplies its own empirical rate.
-	tracePath := cfg.ReplayTracePath
-	if tracePath == "" {
-		tracePath = cfg.Scenario.ReplayTracePath
-	}
-	var traceEntries []workload.TraceEntry
-	if tracePath != "" {
-		f, err := os.Open(tracePath)
-		if err != nil {
-			return fmt.Errorf("open trace: %w", err)
-		}
-		traceEntries, err = workload.ReadTrace(f)
-		closeErr := f.Close()
-		if err != nil {
-			return err
-		}
-		if closeErr != nil {
-			return closeErr
-		}
-		for i, e := range traceEntries {
-			if e.Client >= cfg.Clients {
-				return fmt.Errorf("trace entry %d references client %d of %d: %w",
-					i, e.Client, cfg.Clients, ErrInvalidParam)
-			}
-		}
+	traceEntries, err := readReplayTrace(cfg)
+	if err != nil {
+		return err
 	}
 	rate, err := workload.UtilizationRate(cfg.Utilization, cfg.Servers, cfg.Parallelism, cfg.MeanServiceTime)
 	if err != nil {
@@ -340,11 +301,51 @@ func (r *runner) setup() error {
 	}
 	r.rate = rate
 
-	// The in-network layer. CliRS runs over the same fabric with inert
-	// operators (its packets are non-NetRS and are simply forwarded).
+	// The in-network layer, on one engine or on one engine per pod
+	// partition (plus the control partition). CliRS runs over the same
+	// fabric with inert operators (its packets are non-NetRS and are
+	// simply forwarded).
 	factory := r.operatorSelectorFactory(root, rate)
-	if r.net, err = fabric.NewNetwork(r.eng, r.ft, cfg.Fabric, factory); err != nil {
+	var engines []*sim.Engine
+	if shards := cfg.EffectiveShards(); shards > 1 {
+		if r.set, err = sim.NewShardSet(r.ft.PodPartitions(), shards, cfg.Fabric.LinkLatency); err != nil {
+			return err
+		}
+		for p := 0; p < r.set.Partitions(); p++ {
+			engines = append(engines, r.set.Engine(p))
+		}
+		r.net, err = fabric.NewShardedNetwork(r.set, r.ft, cfg.Fabric, factory)
+	} else {
+		eng := sim.NewEngine()
+		engines = []*sim.Engine{eng}
+		r.net, err = fabric.NewNetwork(eng, r.ft, cfg.Fabric, func(id uint16) (fabric.Selector, error) { return factory(id, eng) })
+	}
+	if err != nil {
 		return err
+	}
+	for p, eng := range engines {
+		r.parts = append(r.parts, &shardState{part: p, eng: eng, pendings: make(map[uint64]*packetCtx)})
+	}
+
+	deployment, err := workload.Deploy(r.ft, cfg.Servers, cfg.Clients, root.Stream(1))
+	if err != nil {
+		return err
+	}
+	r.serverHostOf = deployment.ServerHosts
+
+	// Replica servers, each on its host's partition engine.
+	serverCfg := kv.ServerConfig{
+		Parallelism:         cfg.Parallelism,
+		MeanServiceTime:     cfg.MeanServiceTime,
+		FluctuationInterval: cfg.FluctuationInterval,
+		FluctuationRange:    cfg.FluctuationRange,
+	}
+	for i, host := range r.serverHostOf {
+		srv, err := kv.NewServer(i, r.net.EngineOf(host), serverCfg, root.Stream(uint64(10+i)))
+		if err != nil {
+			return err
+		}
+		r.servers = append(r.servers, srv)
 	}
 
 	// Scenario statics (heterogeneous server classes, persistently slow
@@ -359,9 +360,9 @@ func (r *runner) setup() error {
 			return err
 		}
 	}
-	for i, host := range deployment.ClientHosts {
-		c := &client{idx: i, host: host}
-		if c.sel, err = r.clientSelector(root.Stream(uint64(100000 + i))); err != nil {
+	for _, host := range deployment.ClientHosts {
+		c := &client{host: host, st: r.parts[r.net.PartitionOf(host)]}
+		if c.sel, err = r.clientSelector(c.st.eng); err != nil {
 			return err
 		}
 		if cfg.Scheme == SchemeCliRSR95 {
@@ -375,44 +376,42 @@ func (r *runner) setup() error {
 		}
 	}
 
-	// Workload: either the synthetic open-loop source or a trace replay.
 	if len(traceEntries) > 0 {
 		r.total = len(traceEntries)
 		r.warmup = int(cfg.WarmupFraction * float64(r.total))
-		if r.replay, err = workload.NewTraceSource(traceEntries, r.eng, r.onArrival); err != nil {
-			return err
-		}
 	} else {
 		r.warmup = int(cfg.WarmupFraction * float64(cfg.Requests))
 		r.total = cfg.Requests + r.warmup
-		srcCfg := workload.SourceConfig{
-			Generators:    cfg.Generators,
-			RatePerSec:    rate,
-			Clients:       cfg.Clients,
-			DemandSkew:    cfg.DemandSkew,
-			HotFraction:   cfg.HotClientFraction,
-			Keys:          cfg.Keys,
-			ZipfTheta:     cfg.ZipfTheta,
-			Total:         r.total,
-			ShiftAt:       cfg.DemandShiftAt,
-			ShiftFraction: cfg.DemandShiftFraction,
-			WriteFraction: cfg.WriteFraction,
-			Modulation:    cfg.Scenario.RateModulation(),
-			Spike:         cfg.Scenario.KeySpike(),
-		}
-		if r.source, err = workload.NewSource(srcCfg, r.eng, root.Stream(3), r.onArrival); err != nil {
-			return err
-		}
 	}
-	if cfg.StatsSampleCap > 0 {
-		r.rec = stats.NewBoundedRecorder(r.total-r.warmup, cfg.StatsSampleCap)
-	} else {
-		r.rec = stats.NewRecorder(r.total - r.warmup)
+	r.stopAt = r.total
+	if cfg.Scheme == SchemeNetRSILP {
+		// The ILP plan deploys halfway through warmup: the paper notes a
+		// temporary latency increase after an RSP deployment while new
+		// RSNodes rebuild their view, so the second half of the warmup
+		// absorbs that transient before measurement starts.
+		r.deployAt = (r.warmup + 1) / 2
+	}
+	if err := r.setupFeed(traceEntries, rate, root.Stream(3)); err != nil {
+		return err
+	}
+	// One recorder per partition; the merged multiset is the one-engine
+	// recorder's (count, integer-sum mean, and sorted percentiles are
+	// order-independent).
+	hint := (r.total-r.warmup)/len(r.parts) + 1
+	for _, st := range r.parts {
+		if cfg.StatsSampleCap > 0 {
+			st.rec = stats.NewBoundedRecorder(hint, cfg.StatsSampleCap)
+		} else {
+			st.rec = stats.NewRecorder(hint)
+		}
 	}
 	if cfg.TimelineBucket > 0 {
 		if r.timeline, err = stats.NewTimeline(cfg.TimelineBucket); err != nil {
 			return err
 		}
+	}
+	if cfg.CancelDuplicates && cfg.Scheme == SchemeCliRSR95 {
+		r.tickets = make(map[uint64]kv.Ticket)
 	}
 	// The fault schedule: the legacy FailRSNodeAt fraction becomes a
 	// synthesized one-event schedule prepended to any declared events, so
@@ -428,7 +427,7 @@ func (r *runner) setup() error {
 		events = append([]faults.Event{legacy}, events...)
 	}
 	if len(events) > 0 {
-		if r.injector, err = faults.NewInjector(r.eng, r, r.total, events, r.recordError); err != nil {
+		if r.injector, err = faults.NewInjector(r.net.Engine(), r, r.total, events, r.recordError); err != nil {
 			return err
 		}
 	}
@@ -452,6 +451,87 @@ func (r *runner) setup() error {
 			return err
 		}
 		r.invalidationToRs = tors
+	}
+	return nil
+}
+
+// readReplayTrace loads the configured replay trace, if any, and checks
+// its client references.
+func readReplayTrace(cfg Config) ([]workload.TraceEntry, error) {
+	path := cfg.ReplayTracePath
+	if path == "" {
+		path = cfg.Scenario.ReplayTracePath
+	}
+	if path == "" {
+		return nil, nil
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("open trace: %w", err)
+	}
+	entries, err := workload.ReadTrace(f)
+	closeErr := f.Close()
+	if err != nil {
+		return nil, err
+	}
+	if closeErr != nil {
+		return nil, closeErr
+	}
+	for i, e := range entries {
+		if e.Client >= cfg.Clients {
+			return nil, fmt.Errorf("trace entry %d references client %d of %d: %w",
+				i, e.Client, cfg.Clients, ErrInvalidParam)
+		}
+	}
+	return entries, nil
+}
+
+// setupFeed builds the arrival feed, every arrival landing in onArrival.
+// One partition keeps the live source (or trace replay), which emits as
+// the clock runs; shards pre-generate the synthetic sequence and schedule
+// each arrival into its client's partition.
+func (r *runner) setupFeed(traceEntries []workload.TraceEntry, rate float64, rng *sim.RNG) error {
+	if len(traceEntries) > 0 {
+		replay, err := workload.NewTraceSource(traceEntries, r.net.Engine(), r.onArrival)
+		if err != nil {
+			return err
+		}
+		r.startFeed = replay.Start
+		return nil
+	}
+	cfg := r.cfg
+	srcCfg := workload.SourceConfig{
+		Generators:    cfg.Generators,
+		RatePerSec:    rate,
+		Clients:       cfg.Clients,
+		DemandSkew:    cfg.DemandSkew,
+		HotFraction:   cfg.HotClientFraction,
+		Keys:          cfg.Keys,
+		ZipfTheta:     cfg.ZipfTheta,
+		Total:         r.total,
+		ShiftAt:       cfg.DemandShiftAt,
+		ShiftFraction: cfg.DemandShiftFraction,
+		WriteFraction: cfg.WriteFraction,
+		// The scenario's workload shaping lives inside the source, so the
+		// pre-generation pass replays it bit-exactly at any shard count.
+		Modulation: cfg.Scenario.RateModulation(),
+		Spike:      cfg.Scenario.KeySpike(),
+	}
+	if r.set != nil {
+		arrivals, err := pregenerate(srcCfg, rng)
+		if err != nil {
+			return err
+		}
+		r.startFeed = func() error { return r.scheduleArrivals(arrivals) }
+		return nil
+	}
+	src, err := workload.NewSource(srcCfg, r.net.Engine(), rng, r.onArrival)
+	if err != nil {
+		return err
+	}
+	r.startFeed = func() error {
+		src.Start()
+		return nil
 	}
 	return nil
 }
@@ -506,22 +586,23 @@ func enableCaches(cfg Config, net *fabric.Network) ([]topo.NodeID, error) {
 	return tors, nil
 }
 
-// operatorSelectorFactory builds the per-operator replica-selection state.
-// aggregateRate (req/s) sizes C3's initial rate limit at the steady-state
-// per-server demand: the evaluation measures steady state, and with
-// scaled-down request counts a cold slow-start could otherwise occupy the
-// whole measured window at small service times.
-func (r *runner) operatorSelectorFactory(root *sim.RNG, aggregateRate float64) func(uint16) (fabric.Selector, error) {
+// operatorSelectorFactory builds the per-operator replica-selection state
+// on the engine of the operator's partition. aggregateRate (req/s) sizes
+// C3's initial rate limit at the steady-state per-server demand: the
+// evaluation measures steady state, and with scaled-down request counts a
+// cold slow-start could otherwise occupy the whole measured window at
+// small service times.
+func (r *runner) operatorSelectorFactory(root *sim.RNG, aggregateRate float64) func(uint16, *sim.Engine) (fabric.Selector, error) {
 	if !r.netrs {
 		// CliRS traffic never consults operator selectors.
-		return func(uint16) (fabric.Selector, error) { return &selection.RoundRobin{}, nil }
+		return func(uint16, *sim.Engine) (fabric.Selector, error) { return &selection.RoundRobin{}, nil }
 	}
 	if alg := r.cfg.OperatorAlgorithm; alg != "" && alg != selection.AlgoC3 {
-		return func(id uint16) (fabric.Selector, error) {
-			return selection.New(alg, r.eng, root.Stream(uint64(500000)+uint64(id)))
+		return func(id uint16, eng *sim.Engine) (fabric.Selector, error) {
+			return selection.New(alg, eng, root.Stream(uint64(500000)+uint64(id)))
 		}
 	}
-	return func(id uint16) (fabric.Selector, error) {
+	return func(_ uint16, eng *sim.Engine) (fabric.Selector, error) {
 		cfg := c3.NewDefaultConfig()
 		cfg.RateControl = r.cfg.RateControl
 		perServerPerInterval := aggregateRate *
@@ -532,17 +613,18 @@ func (r *runner) operatorSelectorFactory(root *sim.RNG, aggregateRate float64) f
 		if cfg.MaxRate < 8*perServerPerInterval {
 			cfg.MaxRate = 8 * perServerPerInterval
 		}
-		return selection.NewC3(cfg, r.eng)
+		return selection.NewC3(cfg, eng)
 	}
 }
 
-// clientSelector builds a client's local selection state: the full C3
-// RSNode under CliRS, a feedback-fed ranker for DRS backups under NetRS.
-func (r *runner) clientSelector(rng *sim.RNG) (selection.Selector, error) {
+// clientSelector builds a client's local selection state on its
+// partition's engine: the full C3 RSNode under CliRS, a feedback-fed
+// ranker for DRS backups under NetRS.
+func (r *runner) clientSelector(eng *sim.Engine) (selection.Selector, error) {
 	cfg := c3.NewDefaultConfig()
 	cfg.ConcurrencyWeight = float64(r.cfg.Clients)
 	cfg.RateControl = r.cfg.RateControl && !r.netrs
-	return selection.NewC3(cfg, r.eng)
+	return selection.NewC3(cfg, eng)
 }
 
 // setupControlPlane defines traffic groups, installs databases and the
@@ -584,8 +666,7 @@ func (r *runner) setupControlPlane(clientHosts []topo.NodeID, rate float64) erro
 	return nil
 }
 
-// buildGroupDefs derives traffic groups from the client deployment; both
-// runners (sequential and sharded) define their groups through it.
+// buildGroupDefs derives traffic groups from the client deployment.
 func buildGroupDefs(cfg Config, ft *topo.Topology, clientHosts []topo.NodeID) ([]fabric.GroupDef, error) {
 	if !cfg.RackLevelGroups {
 		groups := make([]fabric.GroupDef, len(clientHosts))
@@ -643,55 +724,90 @@ func setOperatorWeights(net *fabric.Network, rsnodes int) {
 	}
 }
 
-// execute starts the workload, drives the engine, and summarizes.
-func (r *runner) execute() (Result, error) {
+// run starts the servers, the periodic actions and the workload, then
+// drives the clock to the stop count.
+func (r *runner) run() error {
+	if r.set != nil && r.deployAt >= 1 {
+		if err := r.replayCountTriggers(); err != nil {
+			return err
+		}
+	}
 	for _, srv := range r.servers {
 		srv.Start()
 	}
 	r.startQueueSampler()
 	if r.injector != nil {
 		if err := r.injector.Start(); err != nil {
-			return Result{}, err
+			return err
 		}
 	}
-	if r.replay != nil {
-		if err := r.replay.Start(); err != nil {
-			return Result{}, err
-		}
-	} else {
-		r.source.Start()
+	if err := r.startFeed(); err != nil {
+		return err
 	}
 
-	// Generous watchdog: tens of times the expected span.
+	// Generous watchdog: tens of times the expected span. One engine stops
+	// itself at the stop count (finish); shards stop at the first barrier
+	// where the partitions' counts reach it.
 	expected := float64(r.total) / r.rate
 	deadline := sim.FromSeconds(expected*20 + 30)
-	r.eng.RunUntil(deadline)
-
-	if r.completed < r.total {
-		return Result{}, fmt.Errorf("cluster: %d of %d requests completed by watchdog deadline %v",
-			r.completed, r.total, deadline)
+	if r.set == nil {
+		r.net.Engine().RunUntil(deadline)
+	} else if err := r.set.Run(deadline, func(sim.Time) bool { return r.done() }); err != nil && !errors.Is(err, sim.ErrDeadline) {
+		return err
 	}
+	if n := r.completed(); n < r.stopAt {
+		return fmt.Errorf("cluster: %d of %d requests completed by watchdog deadline %v", n, r.stopAt, deadline)
+	}
+	return nil
+}
 
-	summary, err := r.rec.Summarize()
+// completed sums the partition completion counters. On shards it is only
+// read at barriers (globals and the afterWindow hook), where every worker
+// has joined.
+func (r *runner) completed() int {
+	n := 0
+	for _, st := range r.parts {
+		n += st.completed
+	}
+	return n
+}
+
+// done reports whether the run has reached its stop count.
+func (r *runner) done() bool { return r.completed() >= r.stopAt }
+
+// result summarizes a finished run.
+func (r *runner) result() (Result, error) {
+	// The logical end of the run is the last completion instant. Shard
+	// clocks may overrun it by up to one window, but only on invisible
+	// timers (server fluctuation redraws): at the last completion no
+	// request is in flight.
+	res := Result{
+		Scheme:              r.cfg.Scheme,
+		RedundantSent:       r.redundant,
+		CancelledDuplicates: r.cancelled,
+		FailedRSNode:        r.failedRSNode,
+		TraceMs:             r.trace,
+		Errors:              r.errs,
+		Epochs:              r.epochs,
+		QueueCVMean:         r.queueCV.Mean(),
+	}
+	rec := r.parts[0].rec
+	for _, st := range r.parts {
+		if st != r.parts[0] {
+			if err := rec.Merge(st.rec); err != nil {
+				return Result{}, err
+			}
+		}
+		res.Emitted += st.arrived
+		res.Completed += st.completed
+		res.DegradedResponses += st.degraded
+		res.SimulatedSpan = max(res.SimulatedSpan, st.lastDone)
+	}
+	summary, err := rec.Summarize()
 	if err != nil {
 		return Result{}, fmt.Errorf("summarize: %w", err)
 	}
-	emitted := 0
-	if r.replay != nil {
-		emitted = r.replay.Emitted()
-	} else {
-		emitted = r.source.Emitted()
-	}
-	res := Result{
-		Scheme:              r.cfg.Scheme,
-		Summary:             summary,
-		Emitted:             emitted,
-		Completed:           r.completed,
-		RedundantSent:       r.redundant,
-		CancelledDuplicates: r.cancelled,
-		DegradedResponses:   r.degradedResponses,
-		SimulatedSpan:       r.eng.Now(),
-	}
+	res.Summary = summary
 	if r.netrs && r.hasPlan {
 		res.RSNodes = len(r.plan.RSNodes)
 		res.DegradedGroups = len(r.plan.Degraded)
@@ -705,21 +821,16 @@ func (r *runner) execute() (Result, error) {
 	} else {
 		res.RSNodes = r.cfg.Clients
 	}
-	res.FailedRSNode = r.failedRSNode
-	res.TraceMs = r.trace
 	if r.timeline != nil {
 		res.Timeline = r.timeline.Buckets()
 	}
-	res.Errors = r.errs
-	res.Epochs = r.epochs
 	var loads stats.Welford
 	for _, srv := range r.servers {
 		loads.Observe(float64(srv.Served()))
 	}
 	res.ServerLoadCV = loads.CV()
-	res.QueueCVMean = r.queueCV.Mean()
 	for _, op := range r.net.OperatorsSorted() {
-		if u := op.Accelerator().Utilization(); u > res.MaxAccelUtilization {
+		if u := op.Accelerator().UtilizationAt(res.SimulatedSpan); u > res.MaxAccelUtilization {
 			res.MaxAccelUtilization = u
 		}
 		res.OperatorSelections += op.Stats().Selections
@@ -742,55 +853,74 @@ func collectCacheStats(op *fabric.Operator, res *Result) {
 	res.CacheInvalidations += s.Invalidations
 }
 
-// onArrival is the workload sink: one logical read request.
+// onArrival is the workload sink: one logical request, executing in the
+// issuing client's partition.
 func (r *runner) onArrival(req workload.Request) {
 	c := r.clients[req.Client]
+	st := c.st
+	st.arrived++
 	rgid := r.ring.GroupOfKey(req.Key)
 	replicas, err := r.ring.Replicas(rgid)
 	if err != nil {
 		return
 	}
-	p := &pending{
+	p := st.newPending(pending{
 		logicalIdx: req.Index,
 		client:     c,
 		rgid:       rgid,
 		replicas:   replicas,
 		key:        req.Key,
 		write:      req.Write,
-		created:    r.eng.Now(),
+		created:    st.eng.Now(),
 		primary:    -1,
-	}
+	})
 	if r.netrs || r.cfg.Scheme == SchemeNetCache {
 		r.sendNetRS(p)
 		return
 	}
-	r.sendClientPick(p, replicas, true)
+	r.sendClientPick(p, replicas)
 }
 
-func (r *runner) newPID() uint64 {
-	r.nextPID++
-	return r.nextPID
+// track registers a new in-flight packet of p in its client's partition
+// and returns the packet's context.
+//
+// Packet IDs feed the fabric's ECMP flow hash, so their numbering is
+// pinned: IDs count packets in send order. Each arrival sends exactly one
+// packet, in index order, so without duplicates the count is the arrival
+// index plus one, which partitions derive without a shared counter.
+// CliRS-R95's duplicates interleave with the primaries; that scheme keeps
+// a counter, and validate keeps it on one partition.
+func (r *runner) track(p *pending, server int, sentAt sim.Time) *packetCtx {
+	pid := uint64(p.logicalIdx) + 1
+	if r.cfg.Scheme == SchemeCliRSR95 {
+		r.nextPID++
+		pid = r.nextPID
+	}
+	st := p.client.st
+	ctx := st.newCtx(packetCtx{p: p, pid: pid, server: server, sentAt: sentAt})
+	st.pendings[pid] = ctx
+	p.refs++
+	p.packetIDs = append(p.packetIDs, pid)
+	return ctx
 }
 
 // sendClientPick realizes the CliRS flow: the client's own C3 instance
 // picks the replica (possibly delaying the send under rate control) and
-// the request travels directly to the chosen server.
-func (r *runner) sendClientPick(p *pending, candidates []int, primary bool) {
+// the request travels directly to the chosen server. The first send is
+// the primary; later ones are CliRS-R95 duplicates.
+func (r *runner) sendClientPick(p *pending, candidates []int) {
 	c := p.client
 	server, delay, err := c.sel.Pick(candidates)
 	if err != nil {
 		return
 	}
-	pid := r.newPID()
-	ctx := &packetCtx{p: p, pid: pid, server: server}
-	r.pendings[pid] = ctx
-	p.packetIDs = append(p.packetIDs, pid)
+	ctx := r.track(p, server, 0)
 	if delay > 0 {
-		r.eng.MustScheduleArg(delay, r.launchPickFn, ctx)
+		c.st.eng.MustScheduleArg(delay, r.launchPickFn, ctx)
 	} else {
 		r.launchPick(ctx)
 	}
-	if primary {
+	if p.primary < 0 {
 		p.primary = server
 		if r.cfg.Scheme == SchemeCliRSR95 {
 			r.armRedundantTimer(p)
@@ -802,19 +932,20 @@ func (r *runner) sendClientPick(p *pending, candidates []int, primary bool) {
 // has elapsed.
 func (r *runner) launchPick(ctx *packetCtx) {
 	p := ctx.p
+	st := p.client.st
 	if p.done {
-		delete(r.pendings, ctx.pid)
+		st.retire(ctx)
 		return
 	}
-	ctx.sentAt = r.eng.Now()
-	pkt := r.net.NewPacket()
+	ctx.sentAt = st.eng.Now()
+	pkt := r.net.NewPacketIn(st.part)
 	pkt.ReqID = ctx.pid
 	pkt.Dst = r.serverHostOf[ctx.server]
 	pkt.Server = ctx.server
 	pkt.RGID = uint32(p.rgid)
 	pkt.CreatedAt = p.created
 	if err := r.net.SendDirect(pkt, p.client.host); err != nil {
-		delete(r.pendings, ctx.pid)
+		st.retire(ctx)
 	}
 }
 
@@ -829,7 +960,7 @@ func (r *runner) armRedundantTimer(p *pending) {
 	if threshold <= 0 {
 		return
 	}
-	p.timer = r.eng.MustScheduleArg(threshold, r.redundantFn, p)
+	p.timer = c.st.eng.MustScheduleArg(threshold, r.redundantFn, p)
 }
 
 // fireRedundant is the CliRS-R95 duplicate-timer handler: when the
@@ -850,9 +981,9 @@ func (r *runner) fireRedundant(p *pending) {
 	}
 	r.redundant++
 	if r.timeline != nil {
-		r.timeline.RecordTimeout(r.eng.Now())
+		r.timeline.RecordTimeout(p.client.st.eng.Now())
 	}
-	r.sendClientPick(p, filtered, false)
+	r.sendClientPick(p, filtered)
 }
 
 // sendNetRS realizes the NetRS flow: the request heads for the network
@@ -862,11 +993,9 @@ func (r *runner) sendNetRS(p *pending) {
 	c := p.client
 	ranked := c.sel.Rank(p.replicas)
 	backup := ranked[0]
-	pid := r.newPID()
-	r.pendings[pid] = &packetCtx{p: p, pid: pid, server: -1, sentAt: r.eng.Now()}
-	p.packetIDs = append(p.packetIDs, pid)
-	pkt := r.net.NewPacket()
-	pkt.ReqID = pid
+	ctx := r.track(p, -1, c.st.eng.Now())
+	pkt := r.net.NewPacketIn(c.st.part)
+	pkt.ReqID = ctx.pid
 	pkt.RGID = uint32(p.rgid)
 	pkt.Dst = topo.InvalidNode
 	pkt.Backup = r.serverHostOf[backup]
@@ -875,14 +1004,16 @@ func (r *runner) sendNetRS(p *pending) {
 	pkt.Write = p.write
 	pkt.CreatedAt = p.created
 	if err := r.net.SendNetRSRequest(pkt, c.host); err != nil {
-		delete(r.pendings, pid)
+		c.st.retire(ctx)
 	}
 }
 
-// serverHandler services requests at a replica server's host.
+// serverHandler services requests at a replica server's host, in that
+// host's partition.
 func (r *runner) serverHandler(sid int) fabric.HostHandler {
 	srv := r.servers[sid]
 	host := r.serverHostOf[sid]
+	part := r.net.PartitionOf(host)
 	return func(pkt *fabric.Packet) {
 		reqMagic := pkt.Magic
 		reqID := pkt.ReqID
@@ -893,14 +1024,14 @@ func (r *runner) serverHandler(sid int) fabric.HostHandler {
 		clientHost := pkt.Src
 		created := pkt.CreatedAt
 		ticket := srv.Submit(kv.Request{Done: func(sim.Time) {
-			if r.cfg.CancelDuplicates {
+			if r.tickets != nil {
 				delete(r.tickets, reqID)
 			}
 			respMagic := wire.Magic(0)
 			if reqMagic != 0 {
 				respMagic = wire.InverseTransform(reqMagic)
 			}
-			resp := r.net.NewPacket()
+			resp := r.net.NewPacketIn(part)
 			resp.ReqID = reqID
 			resp.Magic = respMagic
 			resp.RID = rid
@@ -915,10 +1046,10 @@ func (r *runner) serverHandler(sid int) fabric.HostHandler {
 				return
 			}
 			if write {
-				r.sendInvalidations(host, reqID, key)
+				r.sendInvalidations(part, host, reqID, key)
 			}
 		}})
-		if r.cfg.CancelDuplicates {
+		if r.tickets != nil {
 			r.tickets[reqID] = ticket
 		}
 	}
@@ -926,10 +1057,11 @@ func (r *runner) serverHandler(sid int) fabric.HostHandler {
 
 // sendInvalidations fans a committed write's coherence messages out from
 // the server's host to every enabled ToR cache, one packet per rack in
-// topology order. With no enabled caches it is a no-op.
-func (r *runner) sendInvalidations(host topo.NodeID, reqID uint64, key uint64) {
+// topology order; cross-partition deliveries ride the exchange like any
+// other packet. With no enabled caches it is a no-op.
+func (r *runner) sendInvalidations(part int, host topo.NodeID, reqID uint64, key uint64) {
 	for _, tor := range r.invalidationToRs {
-		inv := r.net.NewPacket()
+		inv := r.net.NewPacketIn(part)
 		inv.ReqID = reqID
 		inv.Key = key
 		inv.Write = true
@@ -939,56 +1071,40 @@ func (r *runner) sendInvalidations(host topo.NodeID, reqID uint64, key uint64) {
 	}
 }
 
-// clientHandler receives responses at a client host.
+// clientHandler receives responses at a client host, in that host's
+// partition.
 func (r *runner) clientHandler(c *client) fabric.HostHandler {
+	st := c.st
 	return func(pkt *fabric.Packet) {
-		ctx, ok := r.pendings[pkt.ReqID]
+		ctx, ok := st.pendings[pkt.ReqID]
 		if !ok {
 			return // stray (e.g. duplicate answered after completion cleanup)
 		}
-		delete(r.pendings, pkt.ReqID)
-		now := r.eng.Now()
+		now := st.eng.Now()
 		// Cache hits carry the -1 server sentinel: no replica served them,
 		// so there is no feedback to fold into the selector.
 		if pkt.Server >= 0 {
 			c.sel.OnResponse(pkt.Server, now-ctx.sentAt, pkt.Status)
 		}
 		if pkt.RID == wire.DegradedRID {
-			r.degradedResponses++
+			st.degraded++
 		}
 		p := ctx.p
 		if p.done {
-			return // a duplicate raced the primary; first response won
+			st.retire(ctx) // a duplicate raced the primary; first response won
+			return
 		}
 		p.done = true
 		p.timer.Cancel()
-		// Cross-server cancellation: the race is decided, withdraw any
-		// sibling still queued at its server.
-		if r.cfg.CancelDuplicates {
-			for _, pid := range p.packetIDs {
-				if pid == pkt.ReqID {
-					continue
-				}
-				sibling, live := r.pendings[pid]
-				if !live {
-					continue
-				}
-				if ticket, ok := r.tickets[pid]; ok && ticket.Cancel() {
-					delete(r.tickets, pid)
-					delete(r.pendings, pid)
-					r.cancelled++
-					if ab, ok := c.sel.(selection.Abandoner); ok && sibling.server >= 0 {
-						ab.OnAbandon(sibling.server)
-					}
-				}
-			}
+		if r.tickets != nil {
+			r.cancelSiblings(p, ctx)
 		}
 		latency := now - p.created
 		if c.p95 != nil {
 			c.p95.Observe(float64(latency))
 		}
 		if p.logicalIdx >= r.warmup {
-			r.rec.Record(latency)
+			st.rec.Record(latency)
 			if r.cfg.KeepLatencyTrace {
 				r.trace = append(r.trace, latency.Float64Ms())
 			}
@@ -996,40 +1112,61 @@ func (r *runner) clientHandler(c *client) fabric.HostHandler {
 				r.timeline.Record(now, latency, pkt.RID == wire.DegradedRID)
 			}
 		}
-		r.completed++
-		if r.pilotStop > 0 {
-			// Sharded-run pilot: everything up to the ILP deployment point is
-			// deployment-independent, so the run stops right where the deploy
-			// would fire, having recorded the trigger instants.
-			if r.completed == 1 {
-				r.pilotT1 = now
+		st.retire(ctx)
+		st.completed++
+		st.lastDone = now
+		if r.set == nil {
+			r.countTriggers(st.completed, now)
+		}
+	}
+}
+
+// cancelSiblings is CliRS-R95's cross-server cancellation: winner's
+// response decided the race, so every sibling still queued at its server
+// is withdrawn.
+func (r *runner) cancelSiblings(p *pending, winner *packetCtx) {
+	st := p.client.st
+	for _, pid := range p.packetIDs {
+		if pid == winner.pid {
+			continue
+		}
+		sibling, live := st.pendings[pid]
+		if !live {
+			continue
+		}
+		if ticket, ok := r.tickets[pid]; ok && ticket.Cancel() {
+			delete(r.tickets, pid)
+			server := sibling.server
+			st.retire(sibling)
+			r.cancelled++
+			if ab, ok := p.client.sel.(selection.Abandoner); ok && server >= 0 {
+				ab.OnAbandon(server)
 			}
-			if r.completed == r.pilotStop {
-				r.pilotTm = now
-				r.finish()
-			}
-			return
 		}
-		// The ILP plan deploys halfway through warmup: the paper notes a
-		// temporary latency increase after an RSP deployment while new
-		// RSNodes rebuild their view, so the second half of the warmup
-		// absorbs that transient before measurement starts.
-		if r.cfg.Scheme == SchemeNetRSILP && r.completed == (r.warmup+1)/2 {
-			r.deployILPPlan()
-		}
-		// Measurement effectively starts with the first completion: the
-		// monitors were constructed with windowStart == 0, so without a
-		// reset the pipeline-fill idle time would dilute the first
-		// snapshot's rates (the bias the normalization then overcorrects).
-		if r.completed == 1 && r.ctl != nil {
-			r.ctl.ResetMonitors(now)
-		}
-		if r.injector != nil {
-			r.injector.OnCompletion(r.completed)
-		}
-		if r.completed == r.total {
-			r.finish()
-		}
+	}
+}
+
+// countTriggers fires the completion-count actions inline, on one
+// partition, whose count is the run's. Shards replay the same actions as
+// barrier globals at instants a pilot recovered (replayCountTriggers) and
+// stop through the drive loop's completion predicate.
+func (r *runner) countTriggers(n int, now sim.Time) {
+	if n == r.deployAt {
+		r.deployILPPlan()
+	}
+	// Measurement effectively starts with the first completion: the
+	// monitors were constructed with windowStart == 0, so without a
+	// reset the pipeline-fill idle time would dilute the first
+	// snapshot's rates (the bias the normalization then overcorrects).
+	if n == 1 && r.ctl != nil {
+		r.ctl.ResetMonitors(now)
+		r.resetAt = now
+	}
+	if r.injector != nil {
+		r.injector.OnCompletion(n)
+	}
+	if n == r.stopAt {
+		r.net.Engine().Stop()
 	}
 }
 
@@ -1198,8 +1335,10 @@ func normalizeRates(rates map[int][3]float64, target float64) float64 {
 // deployILPPlan solves the placement from the warmup window's monitor
 // statistics and deploys it (the NetRS controller's initial RSP update,
 // §II). The measured rates are normalized so their total matches the known
-// offered load (see normalizeRates).
+// offered load (see normalizeRates). On shards it runs as a barrier
+// global, where the control partition's clock reads the global's instant.
 func (r *runner) deployILPPlan() {
+	now := r.net.Engine().Now()
 	rates := r.ctl.CollectTraffic()
 	normalizeRates(rates, r.rate)
 	plan, err := r.ctl.UpdateRSPWithTraffic(rates)
@@ -1207,27 +1346,17 @@ func (r *runner) deployILPPlan() {
 		// Keep the ToR plan; the run proceeds, which mirrors the
 		// controller's behavior when no better RSP exists — but the
 		// fallback is recorded rather than silent.
-		r.errorf("ILP plan at %v: %v (keeping ToR plan)", r.eng.Now(), err)
+		r.errorf("ILP plan at %v: %v (keeping ToR plan)", now, err)
 		return
 	}
 	r.plan = plan
 	setOperatorWeights(r.net, len(plan.RSNodes))
-	r.startEpochs()
-}
-
-// startEpochs begins the periodic controller loop after the initial ILP
-// deployment; with ControllerInterval unset it does nothing and the run is
-// bit-identical to the single-solve behavior.
-func (r *runner) startEpochs() {
-	if r.cfg.ControllerInterval <= 0 {
-		return
+	// The periodic controller loop follows the initial deployment; with
+	// ControllerInterval unset the run is bit-identical to the
+	// single-solve behavior.
+	if r.cfg.ControllerInterval > 0 {
+		r.every(now+r.cfg.ControllerInterval, r.cfg.ControllerInterval, r.runEpoch)
 	}
-	r.epochRef = r.eng.MustSchedule(r.cfg.ControllerInterval, r.epochTick)
-}
-
-func (r *runner) epochTick() {
-	r.runEpoch()
-	r.epochRef = r.eng.MustSchedule(r.cfg.ControllerInterval, r.epochTick)
 }
 
 // runEpoch is one controller epoch: snapshot the monitors, normalize the
@@ -1235,7 +1364,7 @@ func (r *runner) epochTick() {
 // the delta. An empty window or a failed solve keeps the standing plan —
 // the latter also records a Result.Errors entry.
 func (r *runner) runEpoch() {
-	now := r.eng.Now()
+	now := r.net.Engine().Now()
 	rec := EpochRecord{AtMs: now.Float64Ms(), Kept: true}
 	rates := r.ctl.CollectTraffic()
 	if measured := normalizeRates(rates, r.rate); measured > 0 {
@@ -1267,8 +1396,7 @@ func (r *runner) startQueueSampler() {
 	if period <= 0 {
 		period = 50 * sim.Millisecond
 	}
-	var tick func()
-	tick = func() {
+	r.every(period, period, func() {
 		var w stats.Welford
 		for _, srv := range r.servers {
 			w.Observe(float64(srv.QueueSize()))
@@ -1276,17 +1404,35 @@ func (r *runner) startQueueSampler() {
 		if w.Mean() > 0 {
 			r.queueCV.Observe(w.CV())
 		}
-		r.samplerRef = r.eng.MustSchedule(period, tick)
-	}
-	r.samplerRef = r.eng.MustSchedule(period, tick)
+	})
 }
 
-// finish stops the perpetual processes so the engine can halt.
-func (r *runner) finish() {
-	for _, srv := range r.servers {
-		srv.Stop()
+// every runs fn at first, first+period, … until the run stops. One
+// partition schedules engine events; shards schedule exclusive barrier
+// globals — an event armed a full period early runs before its instant's
+// other events, exactly an exclusive barrier's position. Either way the
+// network's engine reads the action's instant while fn runs.
+func (r *runner) every(first, period sim.Time, fn func()) {
+	at := first
+	var tick func()
+	schedule := func() {
+		var err error
+		if r.set == nil {
+			_, err = r.net.Engine().ScheduleAt(at, tick)
+		} else {
+			err = r.set.ScheduleGlobal(at, false, tick)
+		}
+		if err != nil {
+			panic(fmt.Sprintf("cluster: schedule periodic action: %v", err))
+		}
 	}
-	r.samplerRef.Cancel()
-	r.epochRef.Cancel()
-	r.eng.Stop()
+	tick = func() {
+		if r.done() {
+			return // shards overrun the stop by up to one window
+		}
+		fn()
+		at += period
+		schedule()
+	}
+	schedule()
 }

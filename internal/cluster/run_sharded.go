@@ -1,54 +1,61 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
-	"time"
 
-	"netrs/internal/c3"
-	"netrs/internal/fabric"
 	"netrs/internal/kv"
-	"netrs/internal/placement"
-	"netrs/internal/selection"
 	"netrs/internal/sim"
 	"netrs/internal/stats"
 	"netrs/internal/topo"
-	"netrs/internal/wire"
 	"netrs/internal/workload"
 )
 
-// This file is the pod-parallel runner: the same experiment the sequential
-// runner executes, decomposed over the topology's pod partitions (plus the
-// control partition holding the core switches and the controller) and
-// driven by sim.ShardSet's conservative windows. The decomposition is
-// event-order-exact with respect to the sequential runner:
+// One runner executes every experiment, on one engine or decomposed over
+// the topology's pod partitions (plus the control partition holding the
+// core switches and the controller) and driven by sim.ShardSet's
+// conservative windows. The sequential engine is the one-partition case of
+// the same code, and the decomposition is event-order-exact with respect
+// to it:
 //
 //   - Every simulation object lives in exactly one partition — servers and
 //     clients in their host's pod, operators in their switch's partition —
 //     and is only touched by events of that partition (or at barriers).
+//     Handlers find their partition and engine through the network's
+//     PartitionOf/EngineOf.
+//   - Request state lives only in per-partition shardState records:
+//     pendings, the pooled request records, the recorder and the
+//     completion counters. One partition has exactly one.
 //   - Cross-partition influence travels exclusively through fabric packets
 //     crossing aggregation↔core links, which the sharded Network routes
 //     through the exchange; the one-link latency is the lookahead.
-//   - The workload is pre-generated on a scratch engine (the source's tick
-//     times and draws depend only on its own RNG streams, so the arrival
-//     sequence is identical to the live source's) and scheduled into each
-//     client's partition at absolute times, with the packet IDs the
-//     sequential runner would have allocated (one per arrival, in arrival
-//     order).
-//   - Run-global actions — the queue sampler, controller epochs, and the
-//     ILP deployment — execute as ShardSet globals at barriers. The ILP
-//     scheme's completion-count triggers fire at instants no partition can
-//     observe mid-window, so a sequential pilot run (stopped at the
-//     deployment point, before which the dynamics are deployment-
-//     independent) recovers their exact times first.
 //
-// The only divergences from the sequential order are ties at identical
+// Four selections depend on the engine mode, each made from
+// Config.EffectiveShards:
+//
+//   - construction (setup): one sim.Engine under fabric.NewNetwork, or a
+//     sim.ShardSet under fabric.NewShardedNetwork;
+//   - the arrival feed (setupFeed): the live source or trace replay, or a
+//     pre-generated sequence (the source's tick times and draws depend only
+//     on its own RNG streams, so it is identical to the live source's)
+//     scheduled into each client's partition at absolute times;
+//   - periodic and global actions (every, replayCountTriggers): engine
+//     events, or exclusive/inclusive ShardSet globals at barriers;
+//   - the drive loop (run, countTriggers): RunUntil with an inline stop at
+//     the last completion, or ShardSet.Run with a completion predicate.
+//
+// Completion-count triggers (monitor reset, ILP deployment, fault
+// injection, stop) fire inline on one partition. No partition can observe
+// the run-wide count mid-window, so on shards a pilot — the same runner on
+// one partition, stopped at the deployment count, before which the
+// dynamics are deployment-independent — recovers the instants of the reset
+// and the deployment, which then replay as globals.
+//
+// The only divergences from the one-engine order are ties at identical
 // integer-nanosecond instants between events of different partitions (or a
-// global and a partition event), whose relative order the sequential
-// engine resolves by scheduling sequence. Event times are sums of
-// float64-derived service, interarrival, and link delays, so such
-// collisions do not occur in practice; the golden shard-digest test pins
-// the equality.
+// global and a partition event), whose relative order one engine resolves
+// by scheduling sequence. Event times are sums of float64-derived service,
+// interarrival, and link delays, so such collisions do not occur in
+// practice; the golden shard-digest test pins the equality.
 
 // timedRequest is one pre-generated workload arrival.
 type timedRequest struct {
@@ -60,27 +67,28 @@ type timedRequest struct {
 // touched only by its own partition's events during windows, so workers
 // never contend.
 type shardState struct {
+	part      int
+	eng       *sim.Engine
 	pendings  map[uint64]*packetCtx
 	rec       *stats.Recorder
+	arrived   int
 	completed int
 	degraded  uint64
 	lastDone  sim.Time
 
 	// ctxFree recycles packetCtx records within the partition: a context
-	// is dead the moment its pid leaves pendings and its launch event has
-	// fired, so the steady-state request flow allocates no new ones.
+	// is dead the moment its pid leaves pendings, which only happens once
+	// its launch event has fired, so the steady-state request flow
+	// allocates no new ones.
 	ctxFree []*packetCtx
-	// pendFree recycles pending records. A pending is dead once its
-	// refcount of live contexts drops to zero: every reference to it goes
-	// through a packetCtx, and a context only dies after its launch event
-	// has fired and its pid has left pendings.
+	// pendFree recycles pending records. A pending is dead once it is done
+	// and its refcount of live contexts drops to zero: every reference to
+	// it goes through a packetCtx, except the CliRS-R95 timer, which
+	// completion cancels.
 	pendFree []*pending
-
-	// launchFn mirrors runner.launchPickFn, bound to this partition.
-	launchFn sim.ArgHandler
-	// arriveFn delivers a pre-generated arrival (the argument is a
-	// *timedRequest pointing into the arrivals slice).
-	arriveFn sim.ArgHandler
+	// ctxMade and pendMade count the records ever allocated, so a test
+	// can check that each is either live or on its free list.
+	ctxMade, pendMade int
 }
 
 // newCtx takes a packetCtx off the partition's free list, or allocates
@@ -92,16 +100,28 @@ func (st *shardState) newCtx(v packetCtx) *packetCtx {
 		*ctx = v
 		return ctx
 	}
+	st.ctxMade++
 	ctx := new(packetCtx)
 	*ctx = v
 	return ctx
 }
 
-// freeCtx returns a dead context to the free list, zeroed so a stale
-// reader trips over zero values instead of a previous request's state.
-func (st *shardState) freeCtx(ctx *packetCtx) {
+// retire kills a context: its pid leaves pendings, the record returns to
+// the free list zeroed (so a stale reader trips over zero values instead
+// of a previous request's state), and its pending follows once done and
+// unreferenced.
+func (st *shardState) retire(ctx *packetCtx) {
+	delete(st.pendings, ctx.pid)
+	p := ctx.p
 	*ctx = packetCtx{}
 	st.ctxFree = append(st.ctxFree, ctx)
+	p.refs--
+	if p.refs == 0 && p.done {
+		ids := p.packetIDs[:0]
+		*p = pending{}
+		p.packetIDs = ids
+		st.pendFree = append(st.pendFree, p)
+	}
 }
 
 // newPending takes a pending off the partition's free list, or allocates
@@ -116,223 +136,10 @@ func (st *shardState) newPending(v pending) *pending {
 		p.packetIDs = ids
 		return p
 	}
+	st.pendMade++
 	p := new(pending)
 	*p = v
 	return p
-}
-
-// freePending returns a dead pending to the free list, zeroed (modulo the
-// packetIDs slab) so stale readers see zero values, not old state.
-func (st *shardState) freePending(p *pending) {
-	ids := p.packetIDs[:0]
-	*p = pending{}
-	p.packetIDs = ids
-	st.pendFree = append(st.pendFree, p)
-}
-
-// shardedRunner holds one pod-parallel experiment's live state.
-type shardedRunner struct {
-	cfg Config
-	set *sim.ShardSet
-	ft  *topo.Topology
-	net *fabric.Network
-	ctl *fabric.Controller
-
-	ring         *kv.Ring
-	servers      []*kv.Server
-	serverHostOf []topo.NodeID
-
-	clients    []*client
-	clientPart []int
-
-	parts    []*shardState
-	arrivals []timedRequest
-
-	total, warmup int
-	rate          float64
-
-	plan    placement.Plan
-	hasPlan bool
-
-	// invalidationToRs mirrors the sequential runner's write-coherence
-	// fan-out targets.
-	invalidationToRs []topo.NodeID
-
-	errs   []string
-	epochs []EpochRecord
-
-	queueCV stats.Welford
-
-	netrs bool
-}
-
-// runSharded executes one experiment on the sharded engine. Run dispatches
-// here when cfg.Shards > 1; validate has already rejected the features
-// that need the sequential runner.
-func runSharded(cfg Config) (Result, error) {
-	r := &shardedRunner{
-		cfg:   cfg,
-		netrs: cfg.Scheme == SchemeNetRSToR || cfg.Scheme == SchemeNetRSILP || cfg.Scheme == SchemeNetRSCache,
-	}
-	if err := r.setup(); err != nil {
-		return Result{}, err
-	}
-	return r.execute()
-}
-
-func (r *shardedRunner) setup() error {
-	cfg := r.cfg
-	// The RNG stream layout is the sequential runner's, stream for stream:
-	// Stream derivation is stateless (the root is never drawn from), so
-	// every component sees the exact generator it sees there.
-	root := sim.NewRNG(cfg.Seed)
-
-	var err error
-	if r.ft, err = topo.NewFatTree(cfg.FatTreeK); err != nil {
-		return err
-	}
-	if r.set, err = sim.NewShardSet(r.ft.PodPartitions(), cfg.EffectiveShards(), cfg.Fabric.LinkLatency); err != nil {
-		return err
-	}
-	for p := 0; p < r.set.Partitions(); p++ {
-		part := p
-		st := &shardState{pendings: make(map[uint64]*packetCtx)}
-		st.launchFn = func(arg any) { r.launchPick(part, arg.(*packetCtx)) }
-		st.arriveFn = func(arg any) { r.onArrival(arg.(*timedRequest)) }
-		r.parts = append(r.parts, st)
-	}
-
-	deployment, err := workload.Deploy(r.ft, cfg.Servers, cfg.Clients, root.Stream(1))
-	if err != nil {
-		return err
-	}
-	r.serverHostOf = deployment.ServerHosts
-
-	if r.ring, err = kv.NewRing(cfg.Servers, cfg.Replication, cfg.VNodes, cfg.Seed); err != nil {
-		return err
-	}
-	if r.ring.Groups() >= 1<<24 {
-		return fmt.Errorf("%d replica groups exceed the 24-bit RGID space: %w", r.ring.Groups(), ErrInvalidParam)
-	}
-
-	// Replica servers, each on its host's partition engine.
-	serverCfg := kv.ServerConfig{
-		Parallelism:         cfg.Parallelism,
-		MeanServiceTime:     cfg.MeanServiceTime,
-		FluctuationInterval: cfg.FluctuationInterval,
-		FluctuationRange:    cfg.FluctuationRange,
-	}
-	for i := 0; i < cfg.Servers; i++ {
-		eng := r.set.Engine(r.ft.PartitionOf(deployment.ServerHosts[i]))
-		srv, err := kv.NewServer(i, eng, serverCfg, root.Stream(uint64(10+i)))
-		if err != nil {
-			return err
-		}
-		r.servers = append(r.servers, srv)
-	}
-
-	rate, err := workload.UtilizationRate(cfg.Utilization, cfg.Servers, cfg.Parallelism, cfg.MeanServiceTime)
-	if err != nil {
-		return err
-	}
-	r.rate = rate
-
-	// The in-network layer: operators bound to their switch's partition.
-	factory := r.operatorSelectorFactory(root, rate)
-	if r.net, err = fabric.NewShardedNetwork(r.set, r.ft, cfg.Fabric, factory); err != nil {
-		return err
-	}
-
-	// Scenario statics, the identical calls (and order) the sequential
-	// runner makes: SetSlowdown before the clock starts and link extras on
-	// ToR-incident (intra-pod) edges are both shard-transparent.
-	if err := applyScenarioStatics(cfg.Scenario, r.servers, r.ft, r.net); err != nil {
-		return err
-	}
-
-	// Host handlers.
-	for sid, host := range r.serverHostOf {
-		if err := r.net.AttachHost(host, r.serverHandler(sid)); err != nil {
-			return err
-		}
-	}
-	for i, host := range deployment.ClientHosts {
-		part := r.ft.PartitionOf(host)
-		c := &client{idx: i, host: host}
-		if c.sel, err = r.clientSelector(r.set.Engine(part), root.Stream(uint64(100000+i))); err != nil {
-			return err
-		}
-		r.clients = append(r.clients, c)
-		r.clientPart = append(r.clientPart, part)
-		if err := r.net.AttachHost(host, r.clientHandler(c, part)); err != nil {
-			return err
-		}
-	}
-
-	// Workload: pre-generate the synthetic arrival sequence, then schedule
-	// each arrival into its client's partition at its absolute instant.
-	// Arrivals for one partition are scheduled in arrival order, which is
-	// the FIFO order the sequential engine gives equal-instant emissions.
-	r.warmup = int(cfg.WarmupFraction * float64(cfg.Requests))
-	r.total = cfg.Requests + r.warmup
-	srcCfg := workload.SourceConfig{
-		Generators:    cfg.Generators,
-		RatePerSec:    rate,
-		Clients:       cfg.Clients,
-		DemandSkew:    cfg.DemandSkew,
-		HotFraction:   cfg.HotClientFraction,
-		Keys:          cfg.Keys,
-		ZipfTheta:     cfg.ZipfTheta,
-		Total:         r.total,
-		ShiftAt:       cfg.DemandShiftAt,
-		ShiftFraction: cfg.DemandShiftFraction,
-		WriteFraction: cfg.WriteFraction,
-		// The scenario's workload shaping lives inside the source, so the
-		// pre-generation pass replays it bit-exactly at any shard count.
-		Modulation: cfg.Scenario.RateModulation(),
-		Spike:      cfg.Scenario.KeySpike(),
-	}
-	if r.arrivals, err = pregenerate(srcCfg, root.Stream(3)); err != nil {
-		return err
-	}
-	if len(r.arrivals) != r.total {
-		return fmt.Errorf("pre-generated %d arrivals, want %d: %w", len(r.arrivals), r.total, ErrInvalidParam)
-	}
-	// The arrival index is passed as a pointer into the arrivals slice —
-	// boxing the bare int would cost one allocation per arrival.
-	for i := range r.arrivals {
-		a := &r.arrivals[i]
-		part := r.clientPart[a.req.Client]
-		if _, err := r.set.Engine(part).ScheduleArgAt(a.at, r.parts[part].arriveFn, a); err != nil {
-			return err
-		}
-	}
-	// One exact recorder per partition; the merged multiset is the
-	// sequential recorder's (count, integer-sum mean, and sorted
-	// percentiles are order-independent).
-	hint := (r.total-r.warmup)/len(r.parts) + 1
-	for _, st := range r.parts {
-		st.rec = stats.NewRecorder(hint)
-	}
-
-	if r.netrs {
-		if err := r.setupControlPlane(deployment.ClientHosts, rate); err != nil {
-			return err
-		}
-	}
-
-	// The cache tier, via the same helpers the sequential runner uses.
-	if cfg.Scheme == SchemeNetCache {
-		installOperatorDBs(r.net, r.ring, r.serverHostOf)
-	}
-	if cfg.IsCacheScheme() {
-		tors, err := enableCaches(cfg, r.net)
-		if err != nil {
-			return err
-		}
-		r.invalidationToRs = tors
-	}
-	return nil
 }
 
 // pregenerate runs the synthetic source against a scratch engine that
@@ -356,545 +163,68 @@ func pregenerate(srcCfg workload.SourceConfig, rng *sim.RNG) ([]timedRequest, er
 	return out, nil
 }
 
-// operatorSelectorFactory mirrors the sequential factory, binding each
-// selector to its operator's partition engine.
-func (r *shardedRunner) operatorSelectorFactory(root *sim.RNG, aggregateRate float64) func(uint16, *sim.Engine) (fabric.Selector, error) {
-	if !r.netrs {
-		return func(uint16, *sim.Engine) (fabric.Selector, error) { return &selection.RoundRobin{}, nil }
+// scheduleArrivals schedules each pre-generated arrival into its client's
+// partition at its absolute instant. Arrivals for one partition are
+// scheduled in arrival order, which is the FIFO order one engine gives
+// equal-instant emissions.
+func (r *runner) scheduleArrivals(arrivals []timedRequest) error {
+	if len(arrivals) != r.total {
+		return fmt.Errorf("pre-generated %d arrivals, want %d: %w", len(arrivals), r.total, ErrInvalidParam)
 	}
-	if alg := r.cfg.OperatorAlgorithm; alg != "" && alg != selection.AlgoC3 {
-		return func(id uint16, eng *sim.Engine) (fabric.Selector, error) {
-			return selection.New(alg, eng, root.Stream(uint64(500000)+uint64(id)))
+	// The arrival travels as a pointer into the arrivals slice — boxing
+	// the bare request would cost one allocation per arrival.
+	arrive := func(arg any) { r.onArrival(arg.(*timedRequest).req) }
+	for i := range arrivals {
+		a := &arrivals[i]
+		if _, err := r.clients[a.req.Client].st.eng.ScheduleArgAt(a.at, arrive, a); err != nil {
+			return err
 		}
 	}
-	return func(id uint16, eng *sim.Engine) (fabric.Selector, error) {
-		cfg := c3.NewDefaultConfig()
-		cfg.RateControl = r.cfg.RateControl
-		perServerPerInterval := aggregateRate *
-			(float64(cfg.RateInterval) / float64(sim.Second)) / float64(r.cfg.Servers)
-		if perServerPerInterval > cfg.InitialRate {
-			cfg.InitialRate = perServerPerInterval
-		}
-		if cfg.MaxRate < 8*perServerPerInterval {
-			cfg.MaxRate = 8 * perServerPerInterval
-		}
-		return selection.NewC3(cfg, eng)
-	}
-}
-
-// clientSelector mirrors the sequential construction on the client's
-// partition engine. (The sequential runner derives but does not consume
-// the per-client stream; the derivation is kept for layout parity.)
-func (r *shardedRunner) clientSelector(eng *sim.Engine, _ *sim.RNG) (selection.Selector, error) {
-	cfg := c3.NewDefaultConfig()
-	cfg.ConcurrencyWeight = float64(r.cfg.Clients)
-	cfg.RateControl = r.cfg.RateControl && !r.netrs
-	return selection.NewC3(cfg, eng)
-}
-
-func (r *shardedRunner) setupControlPlane(clientHosts []topo.NodeID, rate float64) error {
-	groups, err := buildGroupDefs(r.cfg, r.ft, clientHosts)
-	if err != nil {
-		return err
-	}
-	accel := placement.AccelParams{
-		Cores:          r.cfg.Fabric.AccelCores,
-		SelectionTime:  r.cfg.Fabric.AccelService,
-		MaxUtilization: r.cfg.AccelMaxUtilization,
-	}
-	budget := r.cfg.ExtraHopBudgetFraction * rate
-	r.ctl, err = fabric.NewController(r.net, groups, accel, budget, placement.Options{
-		Method:   r.cfg.PlacementMethod,
-		AllowDRS: true,
-	})
-	if err != nil {
-		return err
-	}
-	r.ctl.InstallGroupDBs(
-		func(rgid uint32) ([]int, error) { return r.ring.Replicas(int(rgid)) },
-		func(server int) (topo.NodeID, error) {
-			if server < 0 || server >= len(r.serverHostOf) {
-				return topo.InvalidNode, fmt.Errorf("server %d: %w", server, ErrInvalidParam)
-			}
-			return r.serverHostOf[server], nil
-		},
-	)
-	if err := r.ctl.InstallToRPlan(); err != nil {
-		return err
-	}
-	plan, _ := r.ctl.CurrentPlan()
-	r.plan = plan
-	r.hasPlan = true
-	setOperatorWeights(r.net, len(plan.RSNodes))
 	return nil
 }
 
-// execute schedules the run-global actions, drives the windows to the
-// exact completion count, and summarizes.
-func (r *shardedRunner) execute() (Result, error) {
-	cfg := r.cfg
-
-	// ILP deployment and the monitor reset trigger on completion counts.
-	// A sequential pilot run — bit-identical up to the deployment point,
-	// before which nothing depends on the deployment — recovers their
-	// absolute instants, which then replay here as inclusive globals
-	// (the sequential run performs both inside the completion's handler,
-	// i.e. after that instant's partition events).
-	if m := r.ilpDeployCount(); m >= 1 {
-		t1, tm, err := runPilot(cfg, m, r.ft, r.ring)
-		if err != nil {
-			return Result{}, err
-		}
-		reset := func() { r.ctl.ResetMonitors(t1) }
-		deploy := func() { r.deployILPPlan() }
-		if tm == t1 {
-			// Deployment at the very first completion: the sequential
-			// handler deploys before resetting.
-			r.mustGlobal(tm, true, deploy)
-			r.mustGlobal(t1, true, reset)
-		} else {
-			r.mustGlobal(t1, true, reset)
-			r.mustGlobal(tm, true, deploy)
-		}
-	}
-	// NetRS-ToR also resets its monitors at the first completion, but
-	// nothing ever reads them (only the ILP deployment and epochs consult
-	// monitor traffic), so the reset is unobservable and skipped.
-
-	for _, srv := range r.servers {
-		srv.Start()
-	}
-	r.startQueueSampler()
-
-	expected := float64(r.total) / r.rate
-	deadline := sim.FromSeconds(expected*20 + 30)
-	err := r.set.Run(deadline, func(sim.Time) bool { return r.completedTotal() >= r.total })
-	if err != nil && !errors.Is(err, sim.ErrDeadline) {
-		return Result{}, err
-	}
-	completed := r.completedTotal()
-	if completed < r.total {
-		return Result{}, fmt.Errorf("cluster: %d of %d requests completed by watchdog deadline %v",
-			completed, r.total, deadline)
-	}
-
-	// The logical end of the run is the last completion instant — exactly
-	// where the sequential runner stops its engine. Partition clocks may
-	// overrun it by up to one window, but only on invisible timers (server
-	// fluctuation redraws): at the last completion no request is in flight.
-	var tStop sim.Time
-	var degraded uint64
-	for _, st := range r.parts {
-		degraded += st.degraded
-		if st.lastDone > tStop {
-			tStop = st.lastDone
-		}
-	}
-
-	merged := stats.NewRecorder(r.total - r.warmup)
-	for _, st := range r.parts {
-		if err := merged.Merge(st.rec); err != nil {
-			return Result{}, err
-		}
-	}
-	summary, err := merged.Summarize()
+// replayCountTriggers recovers the instants of the first completion and
+// the ILP deployment count from a pilot and registers the monitor reset
+// and the deployment there as inclusive globals: one engine performs both
+// inside the completion's handler, i.e. after that instant's partition
+// events. NetRS-ToR also resets its monitors at the first completion, but
+// nothing ever reads them (only the ILP deployment and epochs consult
+// monitor traffic), so on shards that reset is unobservable and skipped.
+func (r *runner) replayCountTriggers() error {
+	t1, tm, err := runPilot(r.cfg, r.deployAt, r.ft, r.ring)
 	if err != nil {
-		return Result{}, fmt.Errorf("summarize: %w", err)
+		return err
 	}
-
-	res := Result{
-		Scheme:            cfg.Scheme,
-		Summary:           summary,
-		Emitted:           len(r.arrivals),
-		Completed:         completed,
-		DegradedResponses: degraded,
-		SimulatedSpan:     tStop,
+	globals := []struct {
+		at sim.Time
+		fn func()
+	}{{t1, func() { r.ctl.ResetMonitors(t1) }}, {tm, r.deployILPPlan}}
+	if tm == t1 {
+		// Deployment at the very first completion, which deploys before
+		// resetting.
+		globals[0], globals[1] = globals[1], globals[0]
 	}
-	if r.netrs && r.hasPlan {
-		res.RSNodes = len(r.plan.RSNodes)
-		res.DegradedGroups = len(r.plan.Degraded)
-		res.PlanMethod = r.plan.Method
-	} else if cfg.Scheme == SchemeNetCache {
-		for _, op := range r.net.OperatorsSorted() {
-			if op.Cache() != nil {
-				res.RSNodes++
-			}
+	for _, g := range globals {
+		if err := r.set.ScheduleGlobal(g.at, true, g.fn); err != nil {
+			return err
 		}
-	} else {
-		res.RSNodes = cfg.Clients
 	}
-	res.Errors = r.errs
-	res.Epochs = r.epochs
-	var loads stats.Welford
-	for _, srv := range r.servers {
-		loads.Observe(float64(srv.Served()))
-	}
-	res.ServerLoadCV = loads.CV()
-	res.QueueCVMean = r.queueCV.Mean()
-	for _, op := range r.net.OperatorsSorted() {
-		if u := op.Accelerator().UtilizationAt(tStop); u > res.MaxAccelUtilization {
-			res.MaxAccelUtilization = u
-		}
-		res.OperatorSelections += op.Stats().Selections
-		collectCacheStats(op, &res)
-	}
-	return res, nil
+	return nil
 }
 
-// ilpDeployCount returns the completion count that triggers the ILP
-// deployment (the sequential runner's halfway-through-warmup point), or 0
-// when the scheme never deploys.
-func (r *shardedRunner) ilpDeployCount() int {
-	if r.cfg.Scheme != SchemeNetRSILP {
-		return 0
-	}
-	return (r.warmup + 1) / 2
-}
-
-// runPilot replays the experiment on the sequential engine up to the
-// stop-th completion with the deployment suppressed, returning the
-// instants of the first and stop-th completions.
+// runPilot runs the experiment on one partition up to the stop-th
+// completion with the deployment suppressed, returning the instants of
+// the first and stop-th completions. It shares the caller's read-only
+// topology and ring rather than rebuilding them.
 func runPilot(cfg Config, stop int, ft *topo.Topology, ring *kv.Ring) (t1, tm sim.Time, err error) {
-	p := &runner{
-		cfg:       cfg,
-		eng:       sim.NewEngine(),
-		pendings:  make(map[uint64]*packetCtx),
-		tickets:   make(map[uint64]kv.Ticket),
-		netrs:     true,
-		pilotStop: stop,
-		// Share the sharded run's read-only topology and ring rather than
-		// rebuilding them — construction is deterministic in cfg, so the
-		// pilot is bit-identical either way.
-		ft:   ft,
-		ring: ring,
-	}
-	p.launchPickFn = func(arg any) { p.launchPick(arg.(*packetCtx)) }
-	if err := p.setup(); err != nil {
+	cfg.Shards = 1
+	p, err := newRunner(cfg, ft, ring)
+	if err != nil {
 		return 0, 0, err
 	}
-	for _, srv := range p.servers {
-		srv.Start()
+	p.deployAt, p.stopAt = 0, stop
+	if err := p.run(); err != nil {
+		return 0, 0, fmt.Errorf("pilot: %w", err)
 	}
-	p.startQueueSampler()
-	p.source.Start()
-	expected := float64(p.total) / p.rate
-	deadline := sim.FromSeconds(expected*20 + 30)
-	p.eng.RunUntil(deadline)
-	if p.completed < stop {
-		return 0, 0, fmt.Errorf("cluster: pilot run completed %d of %d by watchdog deadline %v",
-			p.completed, stop, deadline)
-	}
-	return p.pilotT1, p.pilotTm, nil
-}
-
-// onArrival is the workload sink: one logical read request, executing in
-// the issuing client's partition.
-func (r *shardedRunner) onArrival(a *timedRequest) {
-	req := a.req
-	c := r.clients[req.Client]
-	part := r.clientPart[req.Client]
-	rgid := r.ring.GroupOfKey(req.Key)
-	replicas, err := r.ring.Replicas(rgid)
-	if err != nil {
-		return
-	}
-	p := r.parts[part].newPending(pending{
-		logicalIdx: req.Index,
-		client:     c,
-		rgid:       rgid,
-		replicas:   replicas,
-		key:        req.Key,
-		write:      req.Write,
-		created:    r.set.Engine(part).Now(),
-		primary:    -1,
-	})
-	// The sequential runner allocates exactly one packet ID per arrival,
-	// at the arrival's instant, so IDs follow arrival order there; the
-	// pre-generated index reproduces that sequence without a shared
-	// counter.
-	pid := uint64(req.Index) + 1
-	if r.netrs || r.cfg.Scheme == SchemeNetCache {
-		r.sendNetRS(part, p, pid)
-		return
-	}
-	r.sendClientPick(part, p, replicas, pid)
-}
-
-func (r *shardedRunner) sendClientPick(part int, p *pending, candidates []int, pid uint64) {
-	st := r.parts[part]
-	c := p.client
-	server, delay, err := c.sel.Pick(candidates)
-	if err != nil {
-		return
-	}
-	ctx := st.newCtx(packetCtx{p: p, pid: pid, server: server})
-	st.pendings[pid] = ctx
-	p.refs++
-	p.packetIDs = append(p.packetIDs, pid)
-	if delay > 0 {
-		r.set.Engine(part).MustScheduleArg(delay, st.launchFn, ctx)
-	} else {
-		r.launchPick(part, ctx)
-	}
-	p.primary = server
-}
-
-func (r *shardedRunner) launchPick(part int, ctx *packetCtx) {
-	st := r.parts[part]
-	p := ctx.p
-	if p.done {
-		delete(st.pendings, ctx.pid)
-		st.freeCtx(ctx)
-		p.refs--
-		if p.refs == 0 {
-			st.freePending(p)
-		}
-		return
-	}
-	ctx.sentAt = r.set.Engine(part).Now()
-	pkt := r.net.NewPacketIn(part)
-	pkt.ReqID = ctx.pid
-	pkt.Dst = r.serverHostOf[ctx.server]
-	pkt.Server = ctx.server
-	pkt.RGID = uint32(p.rgid)
-	pkt.CreatedAt = p.created
-	if err := r.net.SendDirect(pkt, p.client.host); err != nil {
-		delete(st.pendings, ctx.pid)
-		st.freeCtx(ctx)
-		p.refs--
-		if p.refs == 0 {
-			st.freePending(p)
-		}
-	}
-}
-
-func (r *shardedRunner) sendNetRS(part int, p *pending, pid uint64) {
-	st := r.parts[part]
-	c := p.client
-	ranked := c.sel.Rank(p.replicas)
-	backup := ranked[0]
-	ctx := st.newCtx(packetCtx{p: p, pid: pid, server: -1, sentAt: r.set.Engine(part).Now()})
-	st.pendings[pid] = ctx
-	p.refs++
-	p.packetIDs = append(p.packetIDs, pid)
-	pkt := r.net.NewPacketIn(part)
-	pkt.ReqID = pid
-	pkt.RGID = uint32(p.rgid)
-	pkt.Dst = topo.InvalidNode
-	pkt.Backup = r.serverHostOf[backup]
-	pkt.BackupServer = backup
-	pkt.Key = p.key
-	pkt.Write = p.write
-	pkt.CreatedAt = p.created
-	if err := r.net.SendNetRSRequest(pkt, c.host); err != nil {
-		delete(st.pendings, pid)
-		st.freeCtx(ctx)
-		p.refs--
-		if p.refs == 0 {
-			st.freePending(p)
-		}
-	}
-}
-
-// serverHandler services requests at a replica server's host (that host's
-// partition).
-func (r *shardedRunner) serverHandler(sid int) fabric.HostHandler {
-	srv := r.servers[sid]
-	host := r.serverHostOf[sid]
-	part := r.ft.PartitionOf(host)
-	return func(pkt *fabric.Packet) {
-		reqMagic := pkt.Magic
-		reqID := pkt.ReqID
-		rid := pkt.RID
-		rgid := pkt.RGID
-		key := pkt.Key
-		write := pkt.Write
-		clientHost := pkt.Src
-		created := pkt.CreatedAt
-		srv.Submit(kv.Request{Done: func(sim.Time) {
-			respMagic := wire.Magic(0)
-			if reqMagic != 0 {
-				respMagic = wire.InverseTransform(reqMagic)
-			}
-			resp := r.net.NewPacketIn(part)
-			resp.ReqID = reqID
-			resp.Magic = respMagic
-			resp.RID = rid
-			resp.RGID = rgid
-			resp.Dst = clientHost
-			resp.Server = sid
-			resp.Status = srv.Status()
-			resp.Key = key
-			resp.Write = write
-			resp.CreatedAt = created
-			if err := r.net.SendResponse(resp, host); err != nil {
-				return
-			}
-			if write {
-				// Invalidation fan-out in the sequential runner's order;
-				// cross-partition deliveries ride the exchange like any
-				// other packet.
-				for _, tor := range r.invalidationToRs {
-					inv := r.net.NewPacketIn(part)
-					inv.ReqID = reqID
-					inv.Key = key
-					inv.Write = true
-					inv.Dst = tor
-					_ = r.net.SendInvalidation(inv, host, tor)
-				}
-			}
-		}})
-	}
-}
-
-// clientHandler receives responses at a client host (that host's
-// partition).
-func (r *shardedRunner) clientHandler(c *client, part int) fabric.HostHandler {
-	st := r.parts[part]
-	eng := r.set.Engine(part)
-	return func(pkt *fabric.Packet) {
-		ctx, ok := st.pendings[pkt.ReqID]
-		if !ok {
-			return // stray (duplicate answered after completion cleanup)
-		}
-		delete(st.pendings, pkt.ReqID)
-		now := eng.Now()
-		sentAt := ctx.sentAt
-		p := ctx.p
-		st.freeCtx(ctx) // off the map and launched: dead from here on
-		p.refs--
-		// Cache hits carry the -1 server sentinel (no replica feedback).
-		if pkt.Server >= 0 {
-			c.sel.OnResponse(pkt.Server, now-sentAt, pkt.Status)
-		}
-		if pkt.RID == wire.DegradedRID {
-			st.degraded++
-		}
-		if p.done {
-			if p.refs == 0 {
-				st.freePending(p)
-			}
-			return
-		}
-		p.done = true
-		latency := now - p.created
-		if p.logicalIdx >= r.warmup {
-			st.rec.Record(latency)
-		}
-		st.completed++
-		st.lastDone = now
-		if p.refs == 0 {
-			st.freePending(p)
-		}
-	}
-}
-
-// completedTotal sums the partition completion counters. It is only read
-// at barriers (globals and the afterWindow hook), where every worker has
-// joined.
-func (r *shardedRunner) completedTotal() int {
-	n := 0
-	for _, st := range r.parts {
-		n += st.completed
-	}
-	return n
-}
-
-func (r *shardedRunner) mustGlobal(at sim.Time, inclusive bool, fn func()) {
-	if err := r.set.ScheduleGlobal(at, inclusive, fn); err != nil {
-		panic(fmt.Sprintf("cluster: schedule global: %v", err))
-	}
-}
-
-func (r *shardedRunner) recordError(msg string) { r.errs = append(r.errs, msg) }
-
-func (r *shardedRunner) errorf(format string, args ...any) {
-	r.recordError(fmt.Sprintf(format, args...))
-}
-
-// deployILPPlan is the sequential deployILPPlan executing as a global at
-// the pilot-recorded instant; the control partition's clock reads exactly
-// that instant at the barrier.
-func (r *shardedRunner) deployILPPlan() {
-	rates := r.ctl.CollectTraffic()
-	normalizeRates(rates, r.rate)
-	plan, err := r.ctl.UpdateRSPWithTraffic(rates)
-	if err != nil {
-		r.errorf("ILP plan at %v: %v (keeping ToR plan)", r.net.Engine().Now(), err)
-		return
-	}
-	r.plan = plan
-	setOperatorWeights(r.net, len(plan.RSNodes))
-	r.startEpochs()
-}
-
-// startEpochs arms the periodic controller loop as self-re-arming
-// exclusive globals (the sequential epoch event was scheduled long before
-// it fires, so at its instant it precedes that instant's other events).
-func (r *shardedRunner) startEpochs() {
-	if r.cfg.ControllerInterval <= 0 {
-		return
-	}
-	at := r.net.Engine().Now() + r.cfg.ControllerInterval
-	r.mustGlobal(at, false, func() { r.epochTick(at) })
-}
-
-func (r *shardedRunner) epochTick(at sim.Time) {
-	if r.completedTotal() >= r.total {
-		return // the sequential run cancels the loop at the last completion
-	}
-	r.runEpoch(at)
-	next := at + r.cfg.ControllerInterval
-	r.mustGlobal(next, false, func() { r.epochTick(next) })
-}
-
-func (r *shardedRunner) runEpoch(now sim.Time) {
-	rec := EpochRecord{AtMs: now.Float64Ms(), Kept: true}
-	rates := r.ctl.CollectTraffic()
-	if measured := normalizeRates(rates, r.rate); measured > 0 {
-		solveStart := time.Now() //lint:wallclock epoch solve wall time is diagnostic-only, excluded from digests
-		plan, diff, err := r.ctl.UpdateRSPDelta(rates)
-		rec.SolveWallMs = float64(time.Since(solveStart)) / 1e6 //lint:wallclock diagnostic-only, excluded from digests
-		if err != nil {
-			r.errorf("controller epoch at %v: %v (keeping plan)", now, err)
-		} else {
-			prev := len(r.plan.RSNodes)
-			r.plan = plan
-			rec.Kept = false
-			rec.MovedGroups = len(diff.MovedGroups)
-			if len(plan.RSNodes) != prev {
-				setOperatorWeights(r.net, len(plan.RSNodes))
-			}
-		}
-	}
-	rec.RSNodes = len(r.plan.RSNodes)
-	rec.DegradedGroups = len(r.plan.Degraded)
-	r.epochs = append(r.epochs, rec)
-}
-
-// startQueueSampler mirrors the sequential cross-server queue sampler as a
-// self-re-arming exclusive global: the sequential tick's event is armed a
-// full period early, so at its instant it runs before that instant's other
-// events — exactly an exclusive barrier's position.
-func (r *shardedRunner) startQueueSampler() {
-	period := r.cfg.FluctuationInterval
-	if period <= 0 {
-		period = 50 * sim.Millisecond
-	}
-	var tick func(at sim.Time)
-	tick = func(at sim.Time) {
-		if r.completedTotal() >= r.total {
-			return // the sequential run cancels the sampler at the last completion
-		}
-		var w stats.Welford
-		for _, srv := range r.servers {
-			w.Observe(float64(srv.QueueSize()))
-		}
-		if w.Mean() > 0 {
-			r.queueCV.Observe(w.CV())
-		}
-		next := at + period
-		r.mustGlobal(next, false, func() { tick(next) })
-	}
-	r.mustGlobal(period, false, func() { tick(period) })
+	return p.resetAt, p.parts[0].lastDone, nil
 }

@@ -4,10 +4,12 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"netrs/internal/faults"
 )
 
 // shardedTestConfig is a small experiment exercising the full feature set
-// the sharded runner supports: NetRS-ILP with controller epochs and a
+// the sharded engine supports: NetRS-ILP with controller epochs and a
 // mid-run demand shift.
 func shardedTestConfig() Config {
 	cfg := DefaultConfig()
@@ -93,9 +95,10 @@ func TestShardedEpochsMatchSequential(t *testing.T) {
 	}
 }
 
-// TestShardedConfigValidation pins which features the sharded runner
-// rejects: each needs bookkeeping that is inherently sequential, and a
-// silent wrong answer would be worse than an explicit error.
+// TestShardedConfigValidation pins which features the sharded engine
+// rejects: each keeps run-wide state every partition would touch
+// mid-window, and a silent wrong answer would be worse than an explicit
+// error.
 func TestShardedConfigValidation(t *testing.T) {
 	mutations := map[string]func(*Config){
 		"r95 scheme":     func(c *Config) { c.Scheme = SchemeCliRSR95 },
@@ -103,7 +106,10 @@ func TestShardedConfigValidation(t *testing.T) {
 		"latency trace":  func(c *Config) { c.KeepLatencyTrace = true },
 		"timeline":       func(c *Config) { c.TimelineBucket = 1_000_000 },
 		"rsnode failure": func(c *Config) { c.FailRSNodeAt = 0.5 },
-		"bounded stats":  func(c *Config) { c.StatsSampleCap = 100 },
+		"fault schedule": func(c *Config) {
+			c.Faults = []faults.Event{{Kind: faults.KindServerSlowdown, AtFraction: 0.5, Server: 1, Multiplier: 2}}
+		},
+		"bounded stats": func(c *Config) { c.StatsSampleCap = 100 },
 	}
 	for name, mutate := range mutations {
 		cfg := DefaultConfig()

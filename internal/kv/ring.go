@@ -64,7 +64,7 @@ func NewRing(servers, rf, vnodes int, seed uint64) (*Ring, error) {
 	})
 
 	// Enumerate the distinct replica groups, one per ring segment. A ring
-	// is built per run — twice per sharded run, which replays a pilot —
+	// is built once per run (a sharded NetRS-ILP run's pilot shares it)
 	// over servers×vnodes points, and at hyperscale most segments carry a
 	// distinct group, so this loop must not allocate per point or per
 	// group: the walk reuses one scratch slice, member lists are carved
